@@ -57,6 +57,7 @@ fuzz:
 	go test ./internal/isa/ -run '^$$' -fuzz FuzzLoadImage -fuzztime $(FUZZTIME)
 	go test ./internal/server/ -run '^$$' -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME)
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzSnapshot -fuzztime $(FUZZTIME)
+	go test ./internal/sim/ -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME)
 	go test ./internal/progen/ -run '^$$' -fuzz FuzzGenerate -fuzztime $(FUZZTIME)
 	go test ./internal/vmdiff/ -race -run '^$$' -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 

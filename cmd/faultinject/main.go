@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		modeFlag  = flag.String("mode", "srt", "machine: srt, crt, srtr or adaptive")
+		modeFlag  = flag.String("mode", "srt", "machine: "+sim.ModeNames(fault.CampaignModes()))
 		progsFlag = flag.String("progs", "compress", "comma-separated workload kernels")
 		n         = flag.Int("n", 40, "campaign size")
 		seed      = flag.Uint64("seed", 0xC0FFEE, "campaign seed")
@@ -67,14 +67,12 @@ func main() {
 		}
 	}()
 
-	mode, err := cliflags.ParseMode(*modeFlag)
+	mode, err := sim.ParseMode(*modeFlag)
 	if err != nil {
 		fatal(fmt.Errorf("faultinject: %w", err))
 	}
-	switch mode {
-	case sim.ModeSRT, sim.ModeCRT, sim.ModeSRTR, sim.ModeAdaptive:
-	default:
-		fatal(fmt.Errorf("faultinject: mode must be srt, crt, srtr or adaptive"))
+	if !fault.CampaignMode(mode) {
+		fatal(fmt.Errorf("faultinject: mode must be one of %s", sim.ModeNames(fault.CampaignModes())))
 	}
 	budget, warmup := sf.Sizes(20000, 5000, 8000, 2000)
 	spec := sim.Spec{
@@ -162,12 +160,8 @@ func main() {
 	if *server != "" {
 		rn = rmt.NewClient(*server)
 	}
-	rmtMode, err := rmt.ParseMode(*modeFlag)
-	if err != nil {
-		fatal(fmt.Errorf("faultinject: %w", err))
-	}
 	cs := rmt.CampaignSpec{
-		Spec: rmt.Spec{Mode: rmtMode, Programs: spec.Programs, PSR: true,
+		Spec: rmt.Spec{Mode: mode, Programs: spec.Programs, PSR: true,
 			AdaptiveThreshold: spec.AdaptiveThreshold},
 		N:    *n,
 		Seed: *seed,

@@ -482,6 +482,17 @@ func CampaignMode(m sim.Mode) bool {
 	return false
 }
 
+// CampaignModes lists the modes CampaignMode accepts, in Modes order.
+func CampaignModes() []sim.Mode {
+	var out []sim.Mode
+	for _, m := range sim.Modes() {
+		if CampaignMode(m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // summarize aggregates per-trial results into the campaign summary; shared
 // by both engines so aggregation can never diverge between them.
 func summarize(n int, results []Result) *CampaignSummary {

@@ -15,7 +15,11 @@
 // realistic Lock8 configuration).
 package mem
 
-import "repro/internal/stats"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // Level is anything that can service a block fetch: a next-level cache or
 // memory.
@@ -79,14 +83,27 @@ type Config struct {
 	WayPredict bool
 }
 
+// validate reports whether NewCache can build cfg: positive ways, a
+// power-of-two block size, and room for at least one set.
+func (cfg Config) validate() error {
+	if cfg.Ways <= 0 || cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
+		return fmt.Errorf("mem: %s cache needs positive ways and a power-of-two block size, got %d ways of %d-byte blocks", cfg.Name, cfg.Ways, cfg.BlockBytes)
+	}
+	if cfg.SizeBytes/cfg.Ways/cfg.BlockBytes <= 0 {
+		return fmt.Errorf("mem: %s cache of %d bytes has no %d-way set of %d-byte blocks", cfg.Name, cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
+	}
+	return nil
+}
+
 // NewCache builds a cache over next. The set count (size / ways / block)
 // need not be a power of two (the 3 MB L2 of Table 1 has 6144 sets); sets
 // are indexed block-number-modulo-sets with the full block number as tag.
+// It panics on a cfg that validate rejects.
 func NewCache(cfg Config, next Level) *Cache {
-	nsets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
-	if nsets <= 0 {
-		panic("mem: cache must have at least one set")
+	if err := cfg.validate(); err != nil {
+		panic(err)
 	}
+	nsets := cfg.SizeBytes / cfg.Ways / cfg.BlockBytes
 	blockBits := uint(0)
 	for 1<<blockBits < cfg.BlockBytes {
 		blockBits++
@@ -225,30 +242,51 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
+// caches returns the L1I, L1D and L2 geometries cfg describes.
+func (cfg HierarchyConfig) caches() (l1i, l1d, l2 Config) {
+	l1i = Config{
+		Name: "l1i", SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays,
+		BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency, WayPredict: true,
+	}
+	l1d = Config{
+		Name: "l1d", SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays,
+		BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency,
+	}
+	l2 = Config{
+		Name: "l2", SizeBytes: cfg.L2Size, Ways: cfg.L2Ways,
+		BlockBytes: cfg.BlockBytes, HitLatency: cfg.L2Latency,
+	}
+	return l1i, l1d, l2
+}
+
+// Validate reports whether NewHierarchy can build every cache cfg
+// describes.
+func (cfg HierarchyConfig) Validate() error {
+	l1i, l1d, l2 := cfg.caches()
+	for _, c := range []Config{l1i, l1d, l2} {
+		if err := c.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NewHierarchy builds per-core L1s over a shared L2/memory. Pass the same
 // *Cache L2 to share it between cores (CMP); pass nil l2 to build a private
 // one from cfg.
 func NewHierarchy(cfg HierarchyConfig, shared *Cache) *Hierarchy {
+	l1i, l1d, l2cfg := cfg.caches()
 	var l2 *Cache
 	var flat *FlatMemory
 	if shared != nil {
 		l2 = shared
 	} else {
 		flat = &FlatMemory{Latency: cfg.MemLatency}
-		l2 = NewCache(Config{
-			Name: "l2", SizeBytes: cfg.L2Size, Ways: cfg.L2Ways,
-			BlockBytes: cfg.BlockBytes, HitLatency: cfg.L2Latency,
-		}, flat)
+		l2 = NewCache(l2cfg, flat)
 	}
 	h := &Hierarchy{
-		L1I: NewCache(Config{
-			Name: "l1i", SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays,
-			BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency, WayPredict: true,
-		}, l2),
-		L1D: NewCache(Config{
-			Name: "l1d", SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays,
-			BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency,
-		}, l2),
+		L1I: NewCache(l1i, l2),
+		L1D: NewCache(l1d, l2),
 		L2:  l2,
 		Mem: flat,
 	}

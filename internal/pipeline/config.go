@@ -15,7 +15,11 @@
 // simplification.
 package pipeline
 
-import "repro/internal/mem"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // Stage latencies from Figure 2 of the paper.
 const (
@@ -178,6 +182,19 @@ type Config struct {
 	// either way; the knob exists so tests can diff the pooled machine
 	// against the allocation-per-instruction one.
 	DisableInstPool bool
+}
+
+// Validate reports whether cores can be built from c: cache geometry
+// mem.NewHierarchy can build, with blocks at least one 8-byte instruction
+// word wide (fetch never crosses a block).
+func (c Config) Validate() error {
+	if err := c.Hier.Validate(); err != nil {
+		return err
+	}
+	if c.Hier.BlockBytes < 8 {
+		return fmt.Errorf("pipeline: %d-byte cache blocks hold no instruction word", c.Hier.BlockBytes)
+	}
+	return nil
 }
 
 // DefaultConfig returns the Table 1 base-machine parameters.

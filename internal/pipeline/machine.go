@@ -74,9 +74,9 @@ func (m *Machine) allContexts() []*Context {
 	return m.ctxCache
 }
 
-// done reports whether every budgeted context has finished: reached its
+// Done reports whether every budgeted context has finished: reached its
 // commit budget, or halted (HALT retired) with nothing left in flight.
-func (m *Machine) done() bool {
+func (m *Machine) Done() bool {
 	any := false
 	for _, c := range m.allContexts() {
 		if c.Budget > 0 {
@@ -119,7 +119,7 @@ func (m *Machine) Run(maxCycles uint64) (*stats.RunStats, error) {
 		for _, co := range m.Cores {
 			co.Step()
 		}
-		if m.done() {
+		if m.Done() {
 			m.Cycles++
 			break
 		}

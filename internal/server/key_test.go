@@ -13,7 +13,7 @@ import (
 
 func mustKey(t *testing.T, body string) string {
 	t.Helper()
-	_, _, key, err := parseRun([]byte(body))
+	_, key, err := parseRun([]byte(body))
 	if err != nil {
 		t.Fatalf("parseRun(%s): %v", body, err)
 	}
@@ -72,11 +72,11 @@ func TestCanonicalKeyDistinguishesExperiments(t *testing.T) {
 }
 
 func TestEndpointIsPartOfKey(t *testing.T) {
-	_, _, runKey, err := parseRun([]byte(`{"mode":"srt","programs":["gcc"]}`))
+	_, runKey, err := parseRun([]byte(`{"mode":"srt","programs":["gcc"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, sweepKey, err := parseSweep([]byte(`{"specs":[{"mode":"srt","programs":["gcc"]}]}`))
+	_, sweepKey, err := parseSweep([]byte(`{"specs":[{"mode":"srt","programs":["gcc"]}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,20 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add([]byte(`{"mode":"srt","programs":["gen:7"],"budget":1000,"warmup":500}`))
 	f.Add([]byte(`{"mode":"crt","programs":["gen:12926140234400183891","gen:5988186966546787131"],"psr":true}`))
 	f.Add([]byte(`{"mode":"base","programs":["gen:0","gcc","gen:18446744073709551615"]}`))
+	// Equivalent knob spellings: θ <= 0 (including -0) is one experiment,
+	// and so is SRTR's default interval, omitted or spelled out.
+	f.Add([]byte(`{"mode":"adaptive","programs":["gcc"],"adaptive_threshold":0}`))
+	f.Add([]byte(`{"mode":"adaptive","programs":["gcc"],"adaptive_threshold":-0}`))
+	f.Add([]byte(`{"mode":"adaptive","programs":["gcc"],"adaptive_threshold":-1}`))
+	f.Add([]byte(`{"mode":"adaptive","programs":["li"],"adaptive_threshold":0.5}`))
+	f.Add([]byte(`{"mode":"srtr","programs":["gcc"]}`))
+	f.Add([]byte(`{"mode":"srtr","programs":["gcc"],"checkpoint_interval":1024}`))
+	f.Add([]byte(`{"mode":"srtr","programs":["gcc"],"checkpoint_interval":256}`))
 
 	kernels := rmt.Kernels()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, mode, k1, err := parseRun(body)
+		req, k1, err := parseRun(body)
 		if err != nil {
 			t.Skip() // not a valid request: no key to reason about
 		}
@@ -119,7 +128,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, k2, err := parseRun(respelled); err != nil {
+		if _, k2, err := parseRun(respelled); err != nil {
 			t.Fatalf("respelled body stopped parsing: %v", err)
 		} else if k2 != k1 {
 			t.Fatalf("field order forked the key:\nbody      %s\nrespelled %s", body, respelled)
@@ -130,7 +139,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, k3, err := parseRun(canon); err != nil {
+		if _, k3, err := parseRun(canon); err != nil {
 			t.Fatalf("canonical form stopped parsing: %v", err)
 		} else if k3 != k1 {
 			t.Fatalf("canonicalisation is not idempotent")
@@ -146,7 +155,7 @@ func FuzzCanonicalKey(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, mk, err := parseRun(mb)
+			_, mk, err := parseRun(mb)
 			if err != nil {
 				t.Fatalf("mutation %s produced an invalid request: %v", name, err)
 			}
@@ -161,17 +170,57 @@ func FuzzCanonicalKey(f *testing.F) {
 		mutate("flip no_store_comparison", func(r *RunRequest) { r.NoStoreComparison = !r.NoStoreComparison })
 		mutate("append program", func(r *RunRequest) { r.Programs = append(r.Programs, kernels[0]) })
 		mutate("switch mode", func(r *RunRequest) {
-			next := map[string]string{"base": "base2", "base2": "srt", "srt": "crt", "crt": "lockstep", "lockstep": "base"}
-			r.Mode = next[r.Mode]
+			modes := rmt.Modes()
+			r.Mode = modes[(int(r.Mode)+1)%len(modes)]
 		})
-		if mode == rmt.Lockstep {
+		switch req.Mode {
+		case rmt.Adaptive:
+			mutate("move theta", func(r *RunRequest) {
+				if r.AdaptiveThreshold < 0.5 {
+					r.AdaptiveThreshold += 0.25
+				} else {
+					r.AdaptiveThreshold -= 0.25
+				}
+			})
+		case rmt.SRTR:
+			mutate("checkpoint_interval+1", func(r *RunRequest) { r.CheckpointInterval++ })
+		}
+		// Equivalent spellings of θ and of SRTR's default interval are the
+		// same experiment: they must share the key.
+		respell := func(field string, spellings ...string) {
+			for _, sp := range spellings {
+				f := map[string]json.RawMessage{}
+				for k, v := range fields {
+					f[k] = v
+				}
+				if sp == "" {
+					delete(f, field)
+				} else {
+					f[field] = json.RawMessage(sp)
+				}
+				b, err := json.Marshal(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, k, err := parseRun(b); err != nil || k != k1 {
+					t.Fatalf("%s spelled %q forked the key (%v): %s", field, sp, err, b)
+				}
+			}
+		}
+		if req.Mode == rmt.Adaptive && req.AdaptiveThreshold == 0 {
+			respell("adaptive_threshold", "", "0", "-0", "-1", "-0.5")
+		}
+		if req.Mode == rmt.SRTR && req.CheckpointInterval == 1024 {
+			respell("checkpoint_interval", "", "0", "1024")
+		}
+		if req.Mode == rmt.Lockstep {
 			mutate("checker_latency+1", func(r *RunRequest) { r.CheckerLatency++ })
 		} else {
 			// Non-semantic outside lockstep: must NOT move the key.
 			m := req
 			m.CheckerLatency = 5
 			mb, _ := json.Marshal(m)
-			if _, _, mk, err := parseRun(mb); err != nil {
+			if _, mk, err := parseRun(mb); err != nil {
 				t.Fatal(err)
 			} else if mk != k1 {
 				t.Fatalf("ignored checker latency forked the key for mode %s", req.Mode)

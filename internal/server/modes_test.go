@@ -1,85 +1,73 @@
 // The mode round-trip exhaustiveness battery: every machine organisation
-// internal/sim enumerates must survive the whole naming chain unchanged —
-// Mode.String → cliflags.ParseMode → rmt.ParseMode → the daemon's
-// canonical request key → the campaign handler's engine-mode resolution.
-// A mode added to the engine but not plumbed through any one of these
-// layers fails here, not in a user's terminal.
+// in internal/sim's single mode table must survive the whole naming chain
+// unchanged — Mode.String → ParseMode → the JSON text form → the daemon's
+// canonical request key → the campaign gate. A mode added to the table
+// but not plumbed through any one of these fails here, not in a user's
+// terminal.
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/cliflags"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/rmt"
 )
 
 func TestModeRoundTripExhaustive(t *testing.T) {
-	if len(sim.Modes()) != len(rmt.Modes()) {
-		t.Fatalf("facade exposes %d modes, engine has %d", len(rmt.Modes()), len(sim.Modes()))
-	}
-	for _, im := range sim.Modes() {
-		name := im.String()
+	for _, m := range sim.Modes() {
+		name := m.String()
 		t.Run(name, func(t *testing.T) {
-			// CLI layer: the engine mode's own name parses back to it.
-			cm, err := cliflags.ParseMode(name)
-			if err != nil {
-				t.Fatalf("cliflags.ParseMode(%q): %v", name, err)
-			}
-			if cm != im {
-				t.Fatalf("cliflags.ParseMode(%q) = %v, want %v", name, cm, im)
+			// Name table: the mode's own name parses back to it.
+			if got, err := sim.ParseMode(name); err != nil || got != m {
+				t.Fatalf("ParseMode(%q) = %v, %v; want %v", name, got, err, m)
 			}
 
-			// Facade layer: same name, same spelling back out.
-			rm, err := rmt.ParseMode(name)
-			if err != nil {
-				t.Fatalf("rmt.ParseMode(%q): %v", name, err)
+			// Text form: JSON spells the mode by name and decodes it back.
+			enc, err := json.Marshal(m)
+			if err != nil || string(enc) != fmt.Sprintf("%q", name) {
+				t.Fatalf("json.Marshal(%v) = %s, %v; want %q", m, enc, err, name)
 			}
-			if got := rm.String(); got != name {
-				t.Fatalf("rmt mode %v spells itself %q, engine says %q", rm, got, name)
+			var back sim.Mode
+			if err := json.Unmarshal(enc, &back); err != nil || back != m {
+				t.Fatalf("json.Unmarshal(%s) = %v, %v; want %v", enc, back, err, m)
 			}
 
 			// Wire layer: a /run request in this mode canonicalises with the
-			// mode name intact (normalise must never rewrite a canonical
-			// spelling into something else).
+			// mode intact.
 			body := fmt.Sprintf(`{"mode":%q,"programs":["li"]}`, name)
-			req, mode, key, err := parseRun([]byte(body))
+			req, key, err := parseRun([]byte(body))
 			if err != nil {
 				t.Fatalf("parseRun: %v", err)
 			}
-			if mode != rm || req.Mode != name {
-				t.Fatalf("parseRun resolved (%v, %q), want (%v, %q)", mode, req.Mode, rm, name)
+			if req.Mode != m {
+				t.Fatalf("parseRun resolved mode %v, want %v", req.Mode, m)
 			}
 			if !strings.HasPrefix(key, "run:") {
 				t.Fatalf("canonical key %q lacks endpoint prefix", key)
 			}
-			// Canonicalisation is a fixed point: re-parsing the normalised
+			// Canonicalisation is a fixed point: re-parsing the canonical
 			// request yields the same key.
-			enc := fmt.Sprintf(`{"mode":%q,"programs":["li"],"budget":%d,"warmup":%d}`,
-				req.Mode, req.Budget, req.Warmup)
-			if _, _, key2, err := parseRun([]byte(enc)); err != nil || key2 != key {
+			canon, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, key2, err := parseRun(canon); err != nil || key2 != key {
 				t.Fatalf("canonical key not a fixed point: %q vs %q (%v)", key, key2, err)
 			}
 
-			// Campaign resolution: the wire gate and the handler's engine
-			// mapping must accept exactly the modes the fault engine runs
-			// campaigns for, and map each back to the engine mode we started
-			// from.
+			// Campaign gate: the wire accepts exactly the modes the fault
+			// engine runs campaigns for.
 			cbody := fmt.Sprintf(`{"mode":%q,"programs":["li"],"n":4}`, name)
-			_, cmode, _, cerr := parseCampaign([]byte(cbody))
-			if fault.CampaignMode(im) {
+			creq, _, cerr := parseCampaign([]byte(cbody))
+			if fault.CampaignMode(m) {
 				if cerr != nil {
 					t.Fatalf("parseCampaign rejects campaign-capable mode: %v", cerr)
 				}
-				simMode, err := campaignSimMode(cmode)
-				if err != nil {
-					t.Fatalf("campaignSimMode(%v): %v", cmode, err)
-				}
-				if simMode != im {
-					t.Fatalf("server resolves %q to engine mode %v, want %v", name, simMode, im)
+				if creq.Mode != m {
+					t.Fatalf("parseCampaign resolved mode %v, want %v", creq.Mode, m)
 				}
 			} else if cerr == nil {
 				t.Fatalf("parseCampaign accepted %q, but the fault engine cannot campaign it", name)

@@ -472,7 +472,7 @@ func TestCampaignEndpointMatchesDirectAndCaches(t *testing.T) {
 	if r1.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", r1.StatusCode, b1)
 	}
-	var got CampaignResponse
+	var got rmt.CampaignSummary
 	if err := json.Unmarshal(b1, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestCampaignPassesThroughNoStoreComparison(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}
-	var got CampaignResponse
+	var got rmt.CampaignSummary
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,18 @@
 // Wire format of the rmtd HTTP/JSON API, and the content-addressed keys
 // the result cache is indexed by.
 //
-// A request is canonicalised before anything else happens to it: the JSON
-// body is decoded into a fixed struct (so incoming field order is
-// irrelevant), validated, normalised (default sizes resolved, fields the
-// selected mode ignores zeroed), and re-marshalled with the struct's fixed
-// field order. The SHA-256 of that canonical encoding, prefixed with the
-// endpoint name, is the cache key. encoding/json emits every field of the
-// normalised struct exactly once in declaration order, so the canonical
-// encoding — and therefore the key — is injective on normalised requests:
-// distinct experiments never collide, and the same experiment always maps
-// to the same key however its JSON was spelled. FuzzCanonicalKey holds
-// this contract in place.
+// A request body carries rmt.Spec in its own JSON spelling. It is
+// canonicalised before anything else happens to it: decoded into a fixed
+// struct (so incoming field order is irrelevant), validated and put in
+// canonical form by rmt.Spec.Canonical (fields the mode ignores zeroed,
+// equivalent spellings of a knob folded to one), default sizes resolved,
+// and re-marshalled with the struct's fixed field order. The SHA-256 of
+// that canonical encoding, prefixed with the endpoint name, is the cache
+// key. encoding/json emits every field of the canonical struct exactly
+// once in declaration order, so the encoding — and therefore the key — is
+// injective on canonical requests: distinct experiments never collide,
+// and the same experiment always maps to the same key however its JSON
+// was spelled. FuzzCanonicalKey holds this contract in place.
 package server
 
 import (
@@ -21,6 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/rmt"
 )
 
@@ -28,73 +31,9 @@ import (
 // mode fits in a few KB, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
-// SpecWire is the JSON form of one simulation spec. It mirrors rmt.Spec
-// with the mode spelled by name, plus the sizing that rmt passes as
-// options (0 = server default, resolved during canonicalisation).
-type SpecWire struct {
-	Mode               string   `json:"mode"`
-	Programs           []string `json:"programs"`
-	PSR                bool     `json:"psr"`
-	PerThreadSQ        bool     `json:"per_thread_sq"`
-	NoStoreComparison  bool     `json:"no_store_comparison"`
-	CheckerLatency     uint64   `json:"checker_latency"`
-	AdaptiveThreshold  float64  `json:"adaptive_threshold"`
-	CheckpointInterval uint64   `json:"checkpoint_interval"`
-}
-
-// validate checks the spec and returns its parsed mode.
-func (s *SpecWire) validate() (rmt.Mode, error) {
-	mode, err := rmt.ParseMode(s.Mode)
-	if err != nil {
-		return 0, err
-	}
-	if len(s.Programs) == 0 {
-		return 0, fmt.Errorf("spec has no programs")
-	}
-	for _, p := range s.Programs {
-		if !rmt.KnownKernel(p) {
-			return 0, fmt.Errorf("unknown kernel %q (see rmt.Kernels() for the registry; generated kernels are \"gen:<seed>\")", p)
-		}
-	}
-	return mode, nil
-}
-
-// normalise rewrites the spec into its canonical form: the mode name is
-// the parsed mode's own String (so aliases or stray spellings cannot fork
-// the key) and fields the mode ignores are zeroed (CheckerLatency only
-// matters under lockstep, AdaptiveThreshold under adaptive,
-// CheckpointInterval under srtr — an SRT spec with CheckerLatency 8 is
-// the same experiment as one with 0 and must hit the same cache line).
-func (s *SpecWire) normalise(mode rmt.Mode) {
-	s.Mode = mode.String()
-	if mode != rmt.Lockstep {
-		s.CheckerLatency = 0
-	}
-	if mode != rmt.Adaptive {
-		s.AdaptiveThreshold = 0
-	}
-	if mode != rmt.SRTR {
-		s.CheckpointInterval = 0
-	}
-}
-
-// toSpec converts the validated wire form to the facade's Spec.
-func (s *SpecWire) toSpec(mode rmt.Mode) rmt.Spec {
-	return rmt.Spec{
-		Mode:               mode,
-		Programs:           s.Programs,
-		PSR:                s.PSR,
-		PerThreadSQ:        s.PerThreadSQ,
-		NoStoreComparison:  s.NoStoreComparison,
-		CheckerLatency:     s.CheckerLatency,
-		AdaptiveThreshold:  s.AdaptiveThreshold,
-		CheckpointInterval: s.CheckpointInterval,
-	}
-}
-
 // RunRequest is the body of POST /run.
 type RunRequest struct {
-	SpecWire
+	rmt.Spec
 	// Budget/Warmup are instruction counts; 0 selects the rmt defaults
 	// and is resolved to the concrete value before keying.
 	Budget uint64 `json:"budget"`
@@ -104,40 +43,22 @@ type RunRequest struct {
 // SweepRequest is the body of POST /sweep: independent specs sharing one
 // sizing, exactly like rmt.Sweep.
 type SweepRequest struct {
-	Specs  []SpecWire `json:"specs"`
+	Specs  []rmt.Spec `json:"specs"`
 	Budget uint64     `json:"budget"`
 	Warmup uint64     `json:"warmup"`
 }
 
 // CampaignRequest is the body of POST /campaign: a deterministic
-// transient-fault injection campaign (internal/fault) against an RMT mode.
+// transient-fault injection campaign (rmt.Campaign) against an RMT mode.
+// The response is the rmt.CampaignSummary it returns.
 type CampaignRequest struct {
-	SpecWire
+	rmt.Spec
 	// N is the number of injection trials; Seed draws the fault plan.
 	N    int    `json:"n"`
 	Seed uint64 `json:"seed"`
 	// Budget/Warmup as in RunRequest (0 = campaign defaults).
 	Budget uint64 `json:"budget"`
 	Warmup uint64 `json:"warmup"`
-}
-
-// CampaignResponse is the body served for POST /campaign. The field set
-// and order mirror rmt.CampaignSummary exactly — ClientContractBody pins
-// the two encodings together.
-type CampaignResponse struct {
-	Runs                int     `json:"runs"`
-	Detected            int     `json:"detected"`
-	Masked              int     `json:"masked"`
-	NotFired            int     `json:"not_fired"`
-	Recovered           int     `json:"recovered"`
-	UnprotectedSDC      int     `json:"unprotected_sdc"`
-	Coverage            float64 `json:"coverage"`
-	MeanDetectionCycles float64 `json:"mean_detection_cycles"`
-	MeanRecoveryCycles  float64 `json:"mean_recovery_cycles"`
-	TotalCycles         uint64  `json:"total_cycles"`
-	// Outcomes lists the per-trial classification in trial order —
-	// invariant to the server's campaign parallelism.
-	Outcomes []string `json:"outcomes"`
 }
 
 // resolveSizes maps (budget, warmup) with 0 meaning "default" to the
@@ -153,20 +74,15 @@ func resolveSizes(budget, warmup, defBudget, defWarmup uint64) (uint64, uint64) 
 	return budget, warmup
 }
 
-// Campaign sizing defaults, matching cmd/faultinject's full sizes.
-const (
-	defaultCampaignBudget uint64 = 20000
-	defaultCampaignWarmup uint64 = 5000
-	// maxCampaignTrials bounds one request's work.
-	maxCampaignTrials = 10000
-)
+// maxCampaignTrials bounds one request's work.
+const maxCampaignTrials = 10000
 
-// canonicalKey hashes the canonical encoding of a normalised request
-// under its endpoint name. The endpoint is part of the preimage so /run
+// canonicalKey hashes the encoding of a canonical request under its
+// endpoint name. The endpoint is part of the preimage so /run
 // and a one-spec /sweep of the same experiment cannot share an entry
 // (their response shapes differ).
-func canonicalKey(endpoint string, normalised any) string {
-	enc, err := json.Marshal(normalised)
+func canonicalKey(endpoint string, req any) string {
+	enc, err := json.Marshal(req)
 	if err != nil {
 		panic(fmt.Sprintf("server: canonical marshal cannot fail: %v", err))
 	}
@@ -192,65 +108,58 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-// parseRun canonicalises a /run body: decoded, validated, normalised,
+// parseRun canonicalises a /run body: decoded, validated, canonical,
 // keyed.
-func parseRun(body []byte) (RunRequest, rmt.Mode, string, error) {
+func parseRun(body []byte) (RunRequest, string, error) {
 	var req RunRequest
 	if err := decodeStrict(body, &req); err != nil {
-		return req, 0, "", err
+		return req, "", err
 	}
-	mode, err := req.validate()
-	if err != nil {
-		return req, 0, "", err
+	var err error
+	if req.Spec, err = req.Spec.Canonical(); err != nil {
+		return req, "", err
 	}
-	req.normalise(mode)
 	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, rmt.DefaultBudget, rmt.DefaultWarmup)
-	return req, mode, canonicalKey("run", req), nil
+	return req, canonicalKey("run", req), nil
 }
 
 // parseSweep canonicalises a /sweep body.
-func parseSweep(body []byte) (SweepRequest, []rmt.Spec, string, error) {
+func parseSweep(body []byte) (SweepRequest, string, error) {
 	var req SweepRequest
 	if err := decodeStrict(body, &req); err != nil {
-		return req, nil, "", err
+		return req, "", err
 	}
 	if len(req.Specs) == 0 {
-		return req, nil, "", fmt.Errorf("sweep has no specs")
+		return req, "", fmt.Errorf("sweep has no specs")
 	}
-	specs := make([]rmt.Spec, len(req.Specs))
 	for i := range req.Specs {
-		mode, err := req.Specs[i].validate()
-		if err != nil {
-			return req, nil, "", fmt.Errorf("spec %d: %w", i, err)
+		var err error
+		if req.Specs[i], err = req.Specs[i].Canonical(); err != nil {
+			return req, "", fmt.Errorf("spec %d: %w", i, err)
 		}
-		req.Specs[i].normalise(mode)
-		specs[i] = req.Specs[i].toSpec(mode)
 	}
 	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, rmt.DefaultBudget, rmt.DefaultWarmup)
-	return req, specs, canonicalKey("sweep", req), nil
+	return req, canonicalKey("sweep", req), nil
 }
 
 // parseCampaign canonicalises a /campaign body.
-func parseCampaign(body []byte) (CampaignRequest, rmt.Mode, string, error) {
+func parseCampaign(body []byte) (CampaignRequest, string, error) {
 	var req CampaignRequest
 	if err := decodeStrict(body, &req); err != nil {
-		return req, 0, "", err
+		return req, "", err
 	}
-	mode, err := req.validate()
-	if err != nil {
-		return req, 0, "", err
+	var err error
+	if req.Spec, err = req.Spec.Canonical(); err != nil {
+		return req, "", err
 	}
-	switch mode {
-	case rmt.SRT, rmt.CRT, rmt.SRTR, rmt.Adaptive:
-	default:
-		return req, 0, "", fmt.Errorf("campaign requires an RMT mode (srt, crt, srtr or adaptive), got %s", mode)
+	if !fault.CampaignMode(req.Mode) {
+		return req, "", fmt.Errorf("campaign requires an RMT mode (%s), got %s", sim.ModeNames(fault.CampaignModes()), req.Mode)
 	}
 	if req.N <= 0 || req.N > maxCampaignTrials {
-		return req, 0, "", fmt.Errorf("campaign n must be in 1..%d, got %d", maxCampaignTrials, req.N)
+		return req, "", fmt.Errorf("campaign n must be in 1..%d, got %d", maxCampaignTrials, req.N)
 	}
-	req.normalise(mode)
-	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, defaultCampaignBudget, defaultCampaignWarmup)
-	return req, mode, canonicalKey("campaign", req), nil
+	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, rmt.DefaultCampaignBudget, rmt.DefaultCampaignWarmup)
+	return req, canonicalKey("campaign", req), nil
 }
 
 // EncodeResult renders one rmt.Result exactly as /run serves it: indented

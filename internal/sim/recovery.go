@@ -108,6 +108,21 @@ func (c *srtrCkpt) advance(m *Machine) {
 	c.validated = done
 }
 
+// waitsLike reports whether c and the fresh checkpoint d wait on the same
+// targets: c is unvalidated, has not passed phase 0 for any pair, and
+// needs the same sequence numbers as d.
+func (c *srtrCkpt) waitsLike(d *srtrCkpt) bool {
+	if c.validated {
+		return false
+	}
+	for i := range c.needSeq {
+		if c.phase[i] != 0 || c.needSeq[i] != d.needSeq[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // haltDiverged reports whether any pair's two copies disagree on having
 // halted.
 func (m *Machine) haltDiverged() bool {
@@ -123,14 +138,8 @@ func (m *Machine) haltDiverged() bool {
 // and capturing checkpoints at each boundary and rolling back on
 // detection, deadlock, or persistent halt divergence.
 func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
-	interval := m.Spec.CheckpointInterval
-	if interval == 0 {
-		interval = defaultCheckpointInterval
-	}
-	maxRec := m.Spec.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = defaultMaxRecoveries
-	}
+	canon := m.Spec.Canonical()
+	interval, maxRec := canon.CheckpointInterval, canon.MaxRecoveries
 	// Reset per-run recovery state: fault-engine replays recycle pooled
 	// machines through RestoreState, which does not touch engine fields.
 	m.Recoveries, m.RecoveryCycles = 0, 0
@@ -204,7 +213,9 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 			}
 			// Keep running to completion with the detection standing.
 		}
-		finished := err == nil && m.Cycles < next
+		// Run steps at least one cycle per call, so a machine that finishes
+		// on the boundary itself stops at next: ask it, not the clock.
+		finished := err == nil && (m.Cycles < next || m.Machine.Done())
 		if finished && m.haltDiverged() && len(m.Detections()) == 0 {
 			// Give the trailing copy its normal drain lag before calling
 			// the divergence a fault.
@@ -240,7 +251,14 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 			}
 			if !finished && m.Cycles%interval == 0 {
 				if c := m.capture(); c != nil {
-					ckpts = append(ckpts, c)
+					if n := len(ckpts); n > 0 && ckpts[n-1].waitsLike(c) {
+						// Both validate in the same advance call, and only
+						// the newer can then be restored: keep just it, so
+						// a stalled pipeline cannot pile up snapshots.
+						ckpts[n-1] = c
+					} else {
+						ckpts = append(ckpts, c)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -36,6 +37,69 @@ func TestSRTRFaultFreeRuns(t *testing.T) {
 	}
 	if m.Pairs[0].RVQ.Pushes.Value() == 0 {
 		t.Error("RVQ saw no traffic")
+	}
+}
+
+// TestSRTRFinishesOnCheckpointBoundary: a run whose budgets complete on a
+// checkpoint boundary ends there. Short intervals put every completion on
+// a boundary; the fault-free cycle count must still be SRT's, not one
+// more (or, at interval 1, the whole cycle cap).
+func TestSRTRFinishesOnCheckpointBoundary(t *testing.T) {
+	run := func(mode Mode, interval uint64) uint64 {
+		m, err := Build(Spec{Mode: mode, Programs: []string{"gcc"}, Budget: 200,
+			Config: pipeline.DefaultConfig(), PSR: true, CheckpointInterval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Cycles
+	}
+	want := run(ModeSRT, 0)
+	for _, iv := range []uint64{2, 1} {
+		if got := run(ModeSRTR, iv); got != want {
+			t.Fatalf("SRTR at interval %d ran %d cycles, SRT %d", iv, got, want)
+		}
+	}
+}
+
+// TestSRTRStallBoundsCheckpoints: while the pipeline makes no progress
+// (here a direct-mapped 64-byte cache deadlocks the pair until the
+// watchdog fires) every capture waits on the same sequence numbers, so
+// the run must hold one pending checkpoint, not one per interval.
+func TestSRTRStallBoundsCheckpoints(t *testing.T) {
+	spec := Spec{Mode: ModeSRTR, Programs: []string{"go"}, Budget: 200,
+		Config: pipeline.DefaultConfig(), PSR: true, CheckpointInterval: 10, MaxRecoveries: 1}
+	h := &spec.Config.Hier
+	h.L1ISize, h.L1DSize, h.L2Size = 64, 64, 128
+	h.L1IWays, h.L1DWays, h.L2Ways = 1, 1, 1
+	spec.Config.WatchdogCycles = 4000
+	m, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base, peak := live(), uint64(0)
+	m.OnCycle = func(cycle uint64) error {
+		if cycle%1000 == 999 {
+			peak = max(peak, live())
+		}
+		return nil
+	}
+	if _, err := m.Run(); err == nil {
+		t.Fatal("stalled run reported no deadlock")
+	}
+	// One pending snapshot per 10-cycle interval would hold ~400 of
+	// ~0.4 MB each by the time the watchdog fires.
+	if grew := int64(peak) - int64(base); grew > 32<<20 {
+		t.Errorf("live heap grew %d MB during a stalled run", grew>>20)
 	}
 }
 

@@ -16,126 +16,6 @@ import (
 	"repro/internal/vm"
 )
 
-// Mode selects the machine organisation.
-type Mode int
-
-// Machine organisations.
-const (
-	// ModeBase is the unprotected base SMT processor: one hardware thread
-	// per logical program.
-	ModeBase Mode = iota
-	// ModeBase2 runs two independent copies of each program as separate
-	// hardware threads with no input replication or output comparison
-	// (Figure 6's "Base2" reference point).
-	ModeBase2
-	// ModeSRT runs each program as a leading/trailing redundant pair on
-	// one core.
-	ModeSRT
-	// ModeLockstep models two cycle-synchronised cores with a central
-	// checker. Because the two lockstepped cores are cycle-identical by
-	// construction, the model simulates one core and charges the checker
-	// interposition penalties (cache-miss path and store-exit path); see
-	// DESIGN.md.
-	ModeLockstep
-	// ModeCRT runs leading and trailing copies on different cores of a
-	// two-way CMP, cross-coupled for multiprogram workloads (Figure 5).
-	ModeCRT
-	// ModeSRTR extends SRT with recovery (after Vijaykumar et al.'s SRTR):
-	// every retired register result is cross-checked through a register
-	// value queue, machine state is checkpointed at a fixed cycle interval,
-	// and a checkpoint becomes a valid rollback target once the trailing
-	// copy has validated everything it captured. On detection the machine
-	// rolls back and re-executes instead of halting.
-	ModeSRTR
-	// ModeAdaptive is SRT with partial redundancy: a static per-PC
-	// protection table derived from the ACE/liveness vulnerability profile
-	// gates which instructions enter the sphere of replication. Low-
-	// vulnerability regions run untagged (no LVQ/comparator traffic — the
-	// slack this buys is the point), trading detection coverage there.
-	ModeAdaptive
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeBase:
-		return "base"
-	case ModeBase2:
-		return "base2"
-	case ModeSRT:
-		return "srt"
-	case ModeLockstep:
-		return "lockstep"
-	case ModeCRT:
-		return "crt"
-	case ModeSRTR:
-		return "srtr"
-	case ModeAdaptive:
-		return "adaptive"
-	}
-	return "mode?"
-}
-
-// Modes returns every machine organisation, in declaration order. Seam
-// exhaustiveness tests (cliflags, rmtd wire contract, fault matrix) range
-// over this so a future mode cannot silently miss a layer.
-func Modes() []Mode {
-	return []Mode{ModeBase, ModeBase2, ModeSRT, ModeLockstep, ModeCRT, ModeSRTR, ModeAdaptive}
-}
-
-// Spec describes one simulation.
-type Spec struct {
-	Mode     Mode
-	Programs []string
-	// Budget is measured committed instructions per logical program (per
-	// leading copy), not counting warmup.
-	Budget uint64
-	// Warmup is committed instructions executed before measurement starts
-	// (caches and predictors warm; statistics reset), as in §6.2.
-	Warmup uint64
-
-	Config pipeline.Config
-
-	// PSR enables preferential space redundancy (§4.5). The paper enables
-	// it for all results after Figure 7.
-	PSR bool
-	// PerThreadSQ gives each hardware thread a private store queue (§4.2).
-	PerThreadSQ bool
-	// NoStoreComparison disables output comparison (Figure 6's SRT+nosc).
-	NoStoreComparison bool
-	// CheckerLatency is the lockstep checker delay (0 = Lock0, 8 = Lock8).
-	CheckerLatency uint64
-	// SlackFetch enables the original-SRT slack fetch policy (ablation).
-	SlackFetch uint64
-
-	// StopOnDetection ends the run at the first detected fault. In SRTR
-	// mode a detection first triggers rollback; the run only stops on a
-	// detection the machine cannot recover from.
-	StopOnDetection bool
-
-	// CheckpointInterval is the SRTR checkpoint capture period in cycles
-	// (0 = 1024, the fault engine's snapshot grid). Checkpoints are taken
-	// on absolute multiples of the interval so independently built and
-	// mid-flight-restored machines capture at identical cycles.
-	CheckpointInterval uint64
-	// MaxRecoveries bounds rollbacks per run (0 = 8); past it, detections
-	// behave as in SRT.
-	MaxRecoveries int
-	// AdaptiveThreshold is the ModeAdaptive protection cutoff θ in [0,1]:
-	// an instruction is protected iff its normalised live-in register
-	// count reaches θ and its destination is not provably masked. θ <= 0
-	// protects everything (bit-identical to SRT).
-	AdaptiveThreshold float64
-
-	// MaxCycles caps the run (0 = derived from the budget).
-	MaxCycles uint64
-
-	// VM selects the functional engine's interpreter for every hardware
-	// thread context. Dispatch is timing-invariant — outcomes are
-	// byte-identical between variants — so it is deliberately not part of
-	// the rmtd wire contract or its canonical cache keys.
-	VM vm.Config
-}
-
 // Machine is an assembled simulation ready to run.
 type Machine struct {
 	*pipeline.Machine
@@ -175,10 +55,11 @@ type Machine struct {
 	RecoveryCycles uint64
 }
 
-// Build assembles the machine described by spec.
+// Build assembles the machine described by spec, after checking it with
+// Validate.
 func Build(spec Spec) (*Machine, error) {
-	if len(spec.Programs) == 0 {
-		return nil, fmt.Errorf("sim: no programs")
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	cfg := spec.Config
 	cfg.PerThreadSQ = spec.PerThreadSQ
@@ -268,9 +149,6 @@ func Build(spec Spec) (*Machine, error) {
 		}
 		core0.FinalizeQueues()
 		core1.FinalizeQueues()
-
-	default:
-		return nil, fmt.Errorf("sim: unknown mode %v", spec.Mode)
 	}
 	// Attach one pseudo-device per logical program for uncached I/O.
 	for i := range m.Leads {

@@ -32,34 +32,6 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
-// specWire mirrors internal/server's SpecWire JSON contract (the packages
-// cannot share the type: the serving layer sits above this facade in the
-// import DAG). ClientContractBody in the server's e2e battery pins the
-// two encodings together.
-type specWire struct {
-	Mode               string   `json:"mode"`
-	Programs           []string `json:"programs"`
-	PSR                bool     `json:"psr"`
-	PerThreadSQ        bool     `json:"per_thread_sq"`
-	NoStoreComparison  bool     `json:"no_store_comparison"`
-	CheckerLatency     uint64   `json:"checker_latency"`
-	AdaptiveThreshold  float64  `json:"adaptive_threshold"`
-	CheckpointInterval uint64   `json:"checkpoint_interval"`
-}
-
-func toWire(s Spec) specWire {
-	return specWire{
-		Mode:               s.Mode.String(),
-		Programs:           s.Programs,
-		PSR:                s.PSR,
-		PerThreadSQ:        s.PerThreadSQ,
-		NoStoreComparison:  s.NoStoreComparison,
-		CheckerLatency:     s.CheckerLatency,
-		AdaptiveThreshold:  s.AdaptiveThreshold,
-		CheckpointInterval: s.CheckpointInterval,
-	}
-}
-
 // CampaignSpec describes a /campaign request: a deterministic
 // transient-fault injection campaign on an RMT mode (SRT, CRT, SRTR or
 // Adaptive).
@@ -99,10 +71,10 @@ func (c *Client) Run(ctx context.Context, spec Spec, opts ...Option) (*Result, e
 	cfg := newConfig(opts)
 	budget, warmup := cfg.sizes()
 	body := struct {
-		specWire
+		Spec
 		Budget uint64 `json:"budget"`
 		Warmup uint64 `json:"warmup"`
-	}{toWire(spec), budget, warmup}
+	}{spec, budget, warmup}
 	var res Result
 	if err := c.post(ctx, "/run", body, &res); err != nil {
 		return nil, err
@@ -115,15 +87,11 @@ func (c *Client) Run(ctx context.Context, spec Spec, opts ...Option) (*Result, e
 func (c *Client) Sweep(ctx context.Context, specs []Spec, opts ...Option) ([]*Result, error) {
 	cfg := newConfig(opts)
 	budget, warmup := cfg.sizes()
-	wires := make([]specWire, len(specs))
-	for i, s := range specs {
-		wires[i] = toWire(s)
-	}
 	body := struct {
-		Specs  []specWire `json:"specs"`
-		Budget uint64     `json:"budget"`
-		Warmup uint64     `json:"warmup"`
-	}{wires, budget, warmup}
+		Specs  []Spec `json:"specs"`
+		Budget uint64 `json:"budget"`
+		Warmup uint64 `json:"warmup"`
+	}{specs, budget, warmup}
 	var results []*Result
 	if err := c.post(ctx, "/sweep", body, &results); err != nil {
 		return nil, err
@@ -136,12 +104,12 @@ func (c *Client) Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) 
 	cfg := newConfig(opts)
 	budget, warmup := cfg.budget, cfg.warmup // 0 = daemon campaign defaults
 	body := struct {
-		specWire
+		Spec
 		N      int    `json:"n"`
 		Seed   uint64 `json:"seed"`
 		Budget uint64 `json:"budget"`
 		Warmup uint64 `json:"warmup"`
-	}{toWire(cs.Spec), cs.N, cs.Seed, budget, warmup}
+	}{cs.Spec, cs.N, cs.Seed, budget, warmup}
 	var sum CampaignSummary
 	if err := c.post(ctx, "/campaign", body, &sum); err != nil {
 		return nil, err

@@ -26,7 +26,6 @@ package rmt
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -38,107 +37,105 @@ import (
 	"repro/internal/vm"
 )
 
-// Mode selects the machine organisation.
-type Mode int
+// Mode selects the machine organisation. It is internal/sim's Mode, so
+// the names, ParseMode and the JSON spelling ("srt") have one definition.
+type Mode = sim.Mode
 
 // Machine organisations (see the package-level docs of internal/sim and
 // DESIGN.md for the microarchitectural detail).
 const (
 	// Base is the unprotected base SMT processor.
-	Base Mode = iota
+	Base = sim.ModeBase
 	// Base2 runs two independent copies of each program with no coupling
 	// (Figure 6's reference point).
-	Base2
+	Base2 = sim.ModeBase2
 	// SRT runs each program as a leading/trailing redundant pair on one
 	// core.
-	SRT
+	SRT = sim.ModeSRT
 	// Lockstep models two cycle-synchronised cores with a central
 	// checker; CheckerLatency selects Lock0 vs Lock8.
-	Lockstep
+	Lockstep = sim.ModeLockstep
 	// CRT runs leading and trailing copies on different cores of a
 	// two-way CMP, cross-coupled for multiprogram workloads.
-	CRT
+	CRT = sim.ModeCRT
 	// SRTR extends SRT with recovery: a register value queue cross-checks
 	// every retired result, validated checkpoints are kept on a fixed
 	// cycle grid, and a detected fault rolls the machine back instead of
 	// halting it.
-	SRTR
+	SRTR = sim.ModeSRTR
 	// Adaptive is SRT with partial redundancy: instructions whose static
 	// vulnerability falls below Spec.AdaptiveThreshold run outside the
 	// sphere of replication (untagged, uncompared).
-	Adaptive
+	Adaptive = sim.ModeAdaptive
 )
 
-func (m Mode) String() string {
-	im, err := m.internal()
-	if err != nil {
-		return "mode?"
-	}
-	return im.String()
-}
+// Modes lists every machine organisation, in declaration order.
+func Modes() []Mode { return sim.Modes() }
 
-func (m Mode) internal() (sim.Mode, error) {
-	switch m {
-	case Base:
-		return sim.ModeBase, nil
-	case Base2:
-		return sim.ModeBase2, nil
-	case SRT:
-		return sim.ModeSRT, nil
-	case Lockstep:
-		return sim.ModeLockstep, nil
-	case CRT:
-		return sim.ModeCRT, nil
-	case SRTR:
-		return sim.ModeSRTR, nil
-	case Adaptive:
-		return sim.ModeAdaptive, nil
-	}
-	return 0, fmt.Errorf("rmt: unknown mode %d", int(m))
-}
-
-// Modes lists every machine organisation the facade exposes, in the same
-// order internal/sim enumerates them.
-func Modes() []Mode { return []Mode{Base, Base2, SRT, Lockstep, CRT, SRTR, Adaptive} }
-
-// ParseMode maps a mode name ("base", "base2", "srt", "lockstep", "crt",
-// "srtr", "adaptive") to its Mode — the inverse of Mode.String, shared by
-// the cmd/ tools.
-func ParseMode(s string) (Mode, error) {
-	for _, m := range Modes() {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("rmt: unknown mode %q (want base, base2, srt, lockstep, crt, srtr or adaptive)", s)
-}
+// ParseMode maps a mode name to its Mode: the inverse of Mode.String.
+func ParseMode(s string) (Mode, error) { return sim.ParseMode(s) }
 
 // Spec selects a machine organisation and workload. Sizing (budget,
 // warmup) and execution policy (parallelism) are supplied as Options, not
-// mutated into the struct.
+// mutated into the struct. The JSON tags are rmtd's wire format: the
+// daemon and Client encode and decode Spec directly.
 type Spec struct {
-	Mode Mode
+	Mode Mode `json:"mode"`
 	// Programs names the workload kernels (see Kernels()); each runs as
 	// one logical thread.
-	Programs []string
+	Programs []string `json:"programs"`
 	// PSR enables preferential space redundancy (§4.5). The paper
 	// enables it for all results after Figure 7.
-	PSR bool
+	PSR bool `json:"psr"`
 	// PerThreadSQ gives each hardware thread a private store queue.
-	PerThreadSQ bool
+	PerThreadSQ bool `json:"per_thread_sq"`
 	// NoStoreComparison disables output comparison (Figure 6's SRT+nosc).
-	NoStoreComparison bool
+	NoStoreComparison bool `json:"no_store_comparison"`
 	// CheckerLatency is the lockstep checker delay in cycles (0 = Lock0,
 	// 8 = Lock8). Ignored outside Lockstep mode.
-	CheckerLatency uint64
+	CheckerLatency uint64 `json:"checker_latency"`
 	// AdaptiveThreshold is the Adaptive-mode protection cutoff θ in [0,1]:
 	// instructions whose normalised static vulnerability falls below θ run
 	// outside the sphere of replication. 0 protects everything (exactly
 	// SRT). Ignored outside Adaptive mode.
-	AdaptiveThreshold float64
+	AdaptiveThreshold float64 `json:"adaptive_threshold"`
 	// CheckpointInterval is the SRTR checkpoint grid in cycles (0 = the
 	// engine default, 1024). Ignored outside SRTR mode.
-	CheckpointInterval uint64
+	CheckpointInterval uint64 `json:"checkpoint_interval"`
+}
+
+// Canonical validates s and returns it in canonical form (see
+// sim.Spec.Canonical): the knobs its mode ignores zeroed, θ <= 0 folded to
+// 0, and SRTR's default checkpoint interval spelled out. Two specs are the
+// same experiment iff their canonical forms are equal; Result.Spec echoes
+// this form and rmtd keys its cache by it.
+func (s Spec) Canonical() (Spec, error) {
+	e := s.engine(0, 0, config{})
+	if err := e.Validate(); err != nil {
+		return Spec{}, err
+	}
+	e = e.Canonical()
+	s.CheckerLatency, s.AdaptiveThreshold, s.CheckpointInterval = e.CheckerLatency, e.AdaptiveThreshold, e.CheckpointInterval
+	return s, nil
+}
+
+// engine is the one conversion from a facade Spec to the engine's: s at
+// the given sizes on the paper's machine (Table 1).
+func (s Spec) engine(budget, warmup uint64, c config) sim.Spec {
+	return sim.Spec{
+		Mode:               s.Mode,
+		Programs:           s.Programs,
+		Budget:             budget,
+		Warmup:             warmup,
+		Config:             pipeline.DefaultConfig(),
+		PSR:                s.PSR,
+		PerThreadSQ:        s.PerThreadSQ,
+		NoStoreComparison:  s.NoStoreComparison,
+		CheckerLatency:     s.CheckerLatency,
+		AdaptiveThreshold:  s.AdaptiveThreshold,
+		CheckpointInterval: s.CheckpointInterval,
+		VM:                 c.vmConfig(),
+	}
 }
 
 // config collects the option-controlled execution parameters.
@@ -341,7 +338,7 @@ type PairChecks struct {
 
 // Result is one simulation's outcome.
 type Result struct {
-	// Spec echoes the input.
+	// Spec echoes the input in canonical form (see Spec.Canonical).
 	Spec Spec
 	// Cycles is the simulated cycle count.
 	Cycles uint64
@@ -435,25 +432,12 @@ func Parallelism(n int) int {
 }
 
 func runOne(ctx context.Context, spec Spec, c config) (*Result, error) {
-	im, err := spec.Mode.internal()
+	spec, err := spec.Canonical()
 	if err != nil {
 		return nil, err
 	}
 	budget, warmup := c.sizes()
-	simSpec := sim.Spec{
-		Mode:               im,
-		Programs:           spec.Programs,
-		Budget:             budget,
-		Warmup:             warmup,
-		Config:             pipeline.DefaultConfig(),
-		PSR:                spec.PSR,
-		PerThreadSQ:        spec.PerThreadSQ,
-		NoStoreComparison:  spec.NoStoreComparison,
-		CheckerLatency:     spec.CheckerLatency,
-		AdaptiveThreshold:  spec.AdaptiveThreshold,
-		CheckpointInterval: spec.CheckpointInterval,
-		VM:                 c.vmConfig(),
-	}
+	simSpec := spec.engine(budget, warmup, c)
 	var m *sim.Machine
 	if c.resume != nil {
 		m, err = sim.Restore(simSpec, c.resume)

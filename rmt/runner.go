@@ -4,9 +4,7 @@ import (
 	"context"
 
 	"repro/internal/fault"
-	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // Runner abstracts where simulations execute: Local runs them in-process,
@@ -44,10 +42,10 @@ func (Local) Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*Ca
 	return Campaign(ctx, cs, opts...)
 }
 
-// Campaign sizing defaults, mirroring the rmtd daemon's: a campaign sized
-// by WithBudget/WithWarmup(0) (or no option at all) uses these, so a local
-// Campaign and a Client.Campaign of the same CampaignSpec and options
-// measure the same machine. WithQuick does not apply to campaigns.
+// Campaign sizing defaults, which the rmtd daemon also resolves to: a
+// campaign sized by WithBudget/WithWarmup(0) (or no option at all) uses
+// these, so a local Campaign and a Client.Campaign of the same
+// CampaignSpec and options measure the same machine. WithQuick does not apply to campaigns.
 const (
 	DefaultCampaignBudget uint64 = 20000
 	DefaultCampaignWarmup uint64 = 5000
@@ -62,7 +60,7 @@ const (
 // request. Cancelling ctx aborts the campaign between trials.
 func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSummary, error) {
 	c := newConfig(opts)
-	im, err := cs.Spec.Mode.internal()
+	spec, err := cs.Spec.Canonical()
 	if err != nil {
 		return nil, err
 	}
@@ -72,19 +70,6 @@ func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSu
 	}
 	if warmup == 0 {
 		warmup = DefaultCampaignWarmup
-	}
-	spec := sim.Spec{
-		Mode:               im,
-		Programs:           cs.Spec.Programs,
-		Budget:             budget,
-		Warmup:             warmup,
-		Config:             pipeline.DefaultConfig(),
-		PSR:                cs.Spec.PSR,
-		PerThreadSQ:        cs.Spec.PerThreadSQ,
-		NoStoreComparison:  cs.Spec.NoStoreComparison,
-		AdaptiveThreshold:  cs.Spec.AdaptiveThreshold,
-		CheckpointInterval: cs.Spec.CheckpointInterval,
-		VM:                 c.vmConfig(),
 	}
 	fopts := fault.CampaignOptions{
 		Parallelism:           c.parallelism,
@@ -96,7 +81,7 @@ func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSu
 		report := c.report
 		fopts.OnReport = func(r runner.Report) { report(fromRunnerReport(r)) }
 	}
-	sum, err := fault.CampaignParallel(spec, cs.N, cs.Seed, fopts)
+	sum, err := fault.CampaignParallel(spec.engine(budget, warmup, c), cs.N, cs.Seed, fopts)
 	if err != nil {
 		return nil, err
 	}
