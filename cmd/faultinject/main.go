@@ -13,8 +13,7 @@
 //	faultinject -mode adaptive -theta 0.75 -n 50 # partial redundancy
 //	faultinject -progs gcc -n 200 -parallel 8    # sharded campaign
 //	faultinject -n 50 -server http://host:8471   # campaign on an rmtd daemon
-//	faultinject -progs gcc -n 200 -prune         # skip statically-masked trials
-//	faultinject -progs gcc -n 200 -validate-static  # replay them anyway, assert agreement
+//	faultinject -progs gcc -n 200 -validate-static  # replay statically-masked trials, assert agreement
 //	faultinject -one -seq 5000 -bit 7 -point storedata -target trailing
 //
 // Campaigns go through the rmt.Runner seam: in-process by default, or
@@ -45,8 +44,7 @@ func main() {
 
 		server = flag.String("server", "", "run the campaign on an rmtd daemon at this base URL instead of in-process")
 
-		prune    = flag.Bool("prune", false, "classify statically-masked trials without replay (local engine only; summary unchanged)")
-		validate = flag.Bool("validate-static", false, "replay pruned trials anyway and fail if the static masking proof disagrees")
+		validate = flag.Bool("validate-static", false, "replay statically-masked trials too and fail if the static masking proof disagrees (local engine only)")
 
 		one    = flag.Bool("one", false, "inject a single described fault instead of a campaign")
 		seq    = flag.Uint64("seq", 8000, "dynamic instruction number for -one")
@@ -111,46 +109,31 @@ func main() {
 		return
 	}
 
-	// Pruning is a local execution policy: it needs the fork engine and the
-	// static analysis on this machine, and it reports how many trials were
-	// skipped — information the daemon protocol deliberately does not carry
-	// (the summary is identical either way).
-	if *prune || *validate {
+	progress := func(done, total int) {
+		fmt.Fprintf(os.Stderr, "\rtrial %d/%d", done, total)
+		if done == total {
+			fmt.Fprintln(os.Stderr)
+		}
+	}
+
+	// Cross-validating the static masking proof needs the engine's
+	// per-trial prune decisions, which the Runner seam deliberately does
+	// not carry (the summary is identical either way).
+	if *validate {
 		if *server != "" {
-			fatal(fmt.Errorf("faultinject: -prune/-validate-static are local execution policies; drop -server"))
+			fatal(fmt.Errorf("faultinject: -validate-static is a local check; drop -server"))
 		}
 		var stats fault.PruneStats
-		sum, err := fault.CampaignParallel(spec, *n, *seed, fault.CampaignOptions{
+		if _, err := fault.CampaignParallel(spec, *n, *seed, fault.CampaignOptions{
 			Parallelism:           sf.Parallelism(),
-			PruneStaticallyMasked: true,
-			ValidateStaticMasking: *validate,
+			ValidateStaticMasking: true,
 			PruneStats:            &stats,
-			Progress: func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rtrial %d/%d", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			},
-		})
-		if err != nil {
+			Progress:              progress,
+		}); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("campaign: mode=%v progs=%v trials=%d\n", mode, spec.Programs, sum.Runs)
-		fmt.Printf("  detected:  %d\n  masked:    %d\n  not fired: %d\n", sum.Detected, sum.Masked, sum.NotFired)
-		if sum.Recovered > 0 {
-			fmt.Printf("  recovered: %d (mean re-execution %.0f cycles)\n", sum.Recovered, sum.MeanRecoveryCycles)
-		}
-		if sum.UnprotectedSDC > 0 {
-			fmt.Printf("  unprotected SDC: %d\n", sum.UnprotectedSDC)
-		}
-		fmt.Printf("  coverage of fired faults: %.1f%%\n", 100*sum.Coverage())
-		if sum.Detected > 0 {
-			fmt.Printf("  mean detection latency:   %.0f cycles\n", sum.MeanDetectionCycles)
-		}
-		fmt.Printf("  statically pruned: %d of %d fired trials (%d planned)\n", stats.Pruned, stats.Fired, stats.Planned)
-		if *validate {
-			fmt.Println("  static masking cross-validation: every pruned trial replayed identically")
-		}
+		fmt.Printf("static masking cross-validation: mode=%v progs=%v trials=%d\n", mode, spec.Programs, stats.Planned)
+		fmt.Printf("  %d of %d fired trials statically masked; replay agreed on every one\n", stats.Pruned, stats.Fired)
 		return
 	}
 
@@ -169,12 +152,7 @@ func main() {
 	sum, err := rn.Campaign(context.Background(), cs,
 		rmt.WithBudget(budget), rmt.WithWarmup(warmup),
 		rmt.WithParallelism(sf.Parallelism()),
-		rmt.WithProgress(func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rtrial %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}))
+		rmt.WithProgress(progress))
 	if err != nil {
 		fatal(err)
 	}

@@ -237,10 +237,9 @@ func Plan(spec sim.Spec, n int, seed uint64) []Transient {
 }
 
 // Campaign runs n injection trials against the configuration described by
-// spec (which must be an RMT mode: SRT or CRT). Each trial injects one
-// transient at a pseudo-random point after warmup and classifies the
-// outcome. Trials run serially; use CampaignParallel to shard them across
-// workers.
+// spec, whose mode must pass CampaignMode. Each trial injects one transient
+// at a pseudo-random point after warmup and classifies the outcome. Trials
+// run serially; use CampaignParallel to shard them across workers.
 func Campaign(spec sim.Spec, n int, seed uint64) (*CampaignSummary, error) {
 	return CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1})
 }
@@ -256,25 +255,17 @@ type CampaignOptions struct {
 	// Cancel, when non-nil, is polled before each trial; a non-nil return
 	// aborts the campaign with that error (context cancellation plumbing).
 	Cancel func() error
-	// PruneStaticallyMasked classifies fired trials whose injection site
-	// the static ACE analysis (analysis.AnalyzeProgram) proves masked —
-	// the corrupted destination register is dead at the fire pc — without
-	// replaying them. The pruned summary is byte-identical to the unpruned
-	// one: a dead-register flip cannot change any architectural outcome,
-	// so the replay the prune skips is provably the golden suffix with the
-	// golden end cycle and the Masked outcome. Only the fork-on-fault
-	// engine supports pruning (it needs the golden pass's fire pcs).
-	PruneStaticallyMasked bool
-	// ValidateStaticMasking replays every pruned trial anyway and fails
-	// the campaign if the dynamic result disagrees with the static
-	// classification — the cross-validation gate for the ACE analysis.
-	// Implies PruneStaticallyMasked does not save any work.
+	// ValidateStaticMasking replays every trial static pruning would skip
+	// and fails the campaign if a dynamic result disagrees with the static
+	// classification. Every fired trial is then replayed, so the run is
+	// the unpruned reference pruned campaigns are checked against, and the
+	// cross-validation gate for the ACE analysis.
 	ValidateStaticMasking bool
 	// PruneStats, when non-nil, receives what pruning did.
 	PruneStats *PruneStats
 }
 
-// PruneStats reports the effect of PruneStaticallyMasked on one campaign.
+// PruneStats reports the effect of static pruning on one campaign.
 type PruneStats struct {
 	// Planned is the campaign's trial count.
 	Planned int
@@ -300,18 +291,19 @@ const replayChunkSize = 8
 // taken at a fixed cycle interval, and each trial restores the last
 // checkpoint before its injection point and replays only the suffix instead
 // of re-simulating the whole prefix. Trials that need no replay at all —
-// never fired, or statically pruned — are classified inline from golden end
-// state; the rest are grouped into chunks sharing a golden checkpoint (see
-// replayChunkSize) and sharded across the pool. Replay machines are
-// recycled through a pool (restore overwrites all mutable state), so
-// steady-state trial cost is one snapshot decode plus the suffix cycles.
+// never fired, or statically pruned (see planPruning) — are classified
+// inline from golden end state; the rest are grouped into chunks sharing a
+// golden checkpoint (see replayChunkSize) and sharded across the pool.
+// Replay machines are recycled through a pool (restore overwrites all
+// mutable state), so steady-state trial cost is one snapshot decode plus
+// the suffix cycles.
 // The fault plan is fixed before the first trial starts and results are
 // written by trial index, so the summary — including per-trial outcome
 // order — is identical at any parallelism, and byte-identical to
 // CampaignLegacy's.
 func CampaignParallel(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
-	if !CampaignMode(spec.Mode) {
-		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	if err := checkCampaign(spec, n); err != nil {
+		return nil, err
 	}
 	spec.StopOnDetection = true
 	if opts.Cancel != nil {
@@ -432,10 +424,11 @@ func chunkByCheckpoint(replays []int, prep *forkPrep) [][]int {
 // every trial builds a fresh machine and re-simulates warmup plus the
 // entire fault-free prefix before its injection point. It is retained as
 // the equivalence baseline for the fork-on-fault engine (the two must
-// produce byte-identical summaries) and for benchmarking the speedup.
+// produce byte-identical summaries). It never prunes, so it is also the
+// unpruned reference for static pruning.
 func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
-	if !CampaignMode(spec.Mode) {
-		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	if err := checkCampaign(spec, n); err != nil {
+		return nil, err
 	}
 	spec.StopOnDetection = true
 	golden, err := goldenDigest(spec)
@@ -467,6 +460,18 @@ func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*C
 		return nil, err
 	}
 	return summarize(n, results), nil
+}
+
+// checkCampaign rejects what neither engine can run: a mode without a
+// redundant pair, or a negative trial count (0 is an empty campaign).
+func checkCampaign(spec sim.Spec, n int) error {
+	if !CampaignMode(spec.Mode) {
+		return fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	}
+	if n < 0 {
+		return fmt.Errorf("fault: campaign size must be non-negative, got %d", n)
+	}
+	return nil
 }
 
 // CampaignMode reports whether the mode supports injection campaigns: it
@@ -524,9 +529,9 @@ func summarize(n int, results []Result) *CampaignSummary {
 	return sum
 }
 
-// planPruning statically pre-classifies fired trials when the options ask
-// for it. The returned slice holds, per trial, the Result static analysis
-// proves — nil when the trial must (or may as well) replay.
+// planPruning statically pre-classifies fired trials. The returned slice
+// holds, per trial, the Result static analysis proves — nil when the trial
+// must (or may as well) replay.
 //
 // A trial is prunable when all of the following hold:
 //
@@ -553,8 +558,7 @@ func summarize(n int, results []Result) *CampaignSummary {
 // masked is still detected microarchitecturally and recovered — the static
 // Masked classification would be wrong.
 func planPruning(spec sim.Spec, faults []Transient, prep *forkPrep, opts CampaignOptions) ([]*Result, error) {
-	if spec.Mode == sim.ModeSRTR ||
-		(!opts.PruneStaticallyMasked && !opts.ValidateStaticMasking) {
+	if spec.Mode == sim.ModeSRTR {
 		if opts.PruneStats != nil {
 			*opts.PruneStats = PruneStats{Planned: len(faults)}
 		}

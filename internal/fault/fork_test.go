@@ -85,3 +85,26 @@ func TestCampaignCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignSize: both engines reject a negative trial count with an
+// error (it used to panic drawing the fault plan), and run n = 0 as a
+// valid empty campaign.
+func TestCampaignSize(t *testing.T) {
+	for name, run := range map[string]func(sim.Spec, int, uint64, CampaignOptions) (*CampaignSummary, error){
+		"fork":   CampaignParallel,
+		"legacy": CampaignLegacy,
+	} {
+		spec := faultSpec(sim.ModeSRT, "compress")
+		spec.Budget, spec.Warmup = 1000, 500
+		if sum, err := run(spec, -1, 1, CampaignOptions{Parallelism: 1}); err == nil {
+			t.Errorf("%s: n=-1 returned %+v, want an error", name, sum)
+		}
+		sum, err := run(spec, 0, 1, CampaignOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: n=0: %v", name, err)
+		}
+		if sum.Runs != 0 || len(sum.Results) != 0 {
+			t.Errorf("%s: n=0 summary %+v, want an empty campaign", name, sum)
+		}
+	}
+}

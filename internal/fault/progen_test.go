@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -35,42 +36,23 @@ func genNames(n int) []string {
 	return names
 }
 
-// TestGenPrunedCampaignByteIdentical: prune cross-validation over
-// generated kernels — pruned and unpruned campaigns must agree on every
-// aggregate and every per-trial Result.
+// TestGenPrunedCampaignByteIdentical: the pruning invariant over
+// generated kernels — the default (pruned) campaign and the unpruned
+// reference must agree on every aggregate and every per-trial Result.
+// Generated kernels have few masked sites, so not every kernel prunes, but
+// the corpus as a whole must, or the test exercises nothing.
 func TestGenPrunedCampaignByteIdentical(t *testing.T) {
+	var pruned atomic.Int64
+	t.Cleanup(func() {
+		if pruned.Load() == 0 {
+			t.Error("no trials pruned across the corpus: the test no longer exercises pruning")
+		}
+	})
 	for _, name := range genNames(6) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec := genFaultSpec(sim.ModeSRT, name)
-			const n, seed = 48, 0xACE
-			base, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatalf("unpruned: %v", err)
-			}
-			var stats PruneStats
-			pruned, err := CampaignParallel(spec, n, seed, CampaignOptions{
-				Parallelism:           4,
-				PruneStaticallyMasked: true,
-				ValidateStaticMasking: true,
-				PruneStats:            &stats,
-			})
-			if err != nil {
-				t.Fatalf("pruned: %v", err)
-			}
-			t.Logf("prune stats: %+v", stats)
-			if pruned.Runs != base.Runs || pruned.Detected != base.Detected ||
-				pruned.Masked != base.Masked || pruned.NotFired != base.NotFired ||
-				pruned.MeanDetectionCycles != base.MeanDetectionCycles ||
-				pruned.TotalCycles != base.TotalCycles {
-				t.Fatalf("summary differs:\npruned:   %+v\nunpruned: %+v", pruned, base)
-			}
-			for i := range pruned.Results {
-				if pruned.Results[i] != base.Results[i] {
-					t.Fatalf("trial %d: pruned %+v, unpruned %+v", i, pruned.Results[i], base.Results[i])
-				}
-			}
+			pruned.Add(int64(checkPrunedMatchesReference(t, genFaultSpec(sim.ModeSRT, name), 48, 0xACE)))
 		})
 	}
 }

@@ -18,40 +18,64 @@ func pruneSpec() sim.Spec {
 	return s
 }
 
-// TestPrunedCampaignByteIdentical is the pruning invariant: with
-// PruneStaticallyMasked on, every aggregate and every per-trial Result must
-// match the unpruned campaign exactly — pruning may only skip work whose
-// outcome is already proven, never change one.
-func TestPrunedCampaignByteIdentical(t *testing.T) {
-	spec := pruneSpec()
-	const n, seed = 96, 0xACE
-	base, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1})
+// checkPrunedMatchesReference is the pruning invariant for one campaign:
+// the default engine, which classifies statically-masked trials without
+// replay, must match the unpruned reference — the same campaign under
+// ValidateStaticMasking, where every one of those trials is replayed and
+// checked — on every aggregate and every per-trial Result. It returns how
+// many trials the default engine pruned.
+func checkPrunedMatchesReference(t *testing.T, spec sim.Spec, n int, seed uint64) int {
+	t.Helper()
+	ref, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1, ValidateStaticMasking: true})
 	if err != nil {
-		t.Fatalf("unpruned: %v", err)
+		t.Fatalf("unpruned reference: %v", err)
 	}
 	var stats PruneStats
-	pruned, err := CampaignParallel(spec, n, seed, CampaignOptions{
-		Parallelism:           4,
-		PruneStaticallyMasked: true,
-		PruneStats:            &stats,
-	})
+	pruned, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 4, PruneStats: &stats})
 	if err != nil {
 		t.Fatalf("pruned: %v", err)
 	}
-	if stats.Pruned == 0 {
-		t.Fatalf("no trials pruned (stats %+v): the test spec no longer exercises pruning", stats)
-	}
 	t.Logf("prune stats: %+v", stats)
-	if pruned.Runs != base.Runs || pruned.Detected != base.Detected ||
-		pruned.Masked != base.Masked || pruned.NotFired != base.NotFired ||
-		pruned.MeanDetectionCycles != base.MeanDetectionCycles ||
-		pruned.TotalCycles != base.TotalCycles {
-		t.Fatalf("summary differs:\npruned:   %+v\nunpruned: %+v", pruned, base)
+	if pruned.Runs != ref.Runs || pruned.Detected != ref.Detected ||
+		pruned.Masked != ref.Masked || pruned.NotFired != ref.NotFired ||
+		pruned.Recovered != ref.Recovered || pruned.UnprotectedSDC != ref.UnprotectedSDC ||
+		pruned.MeanDetectionCycles != ref.MeanDetectionCycles ||
+		pruned.MeanRecoveryCycles != ref.MeanRecoveryCycles ||
+		pruned.TotalCycles != ref.TotalCycles {
+		t.Fatalf("summary differs:\npruned:   %+v\nunpruned: %+v", pruned, ref)
 	}
 	for i := range pruned.Results {
-		if pruned.Results[i] != base.Results[i] {
-			t.Fatalf("trial %d: pruned %+v, unpruned %+v", i, pruned.Results[i], base.Results[i])
+		if pruned.Results[i] != ref.Results[i] {
+			t.Fatalf("trial %d: pruned %+v, unpruned %+v", i, pruned.Results[i], ref.Results[i])
 		}
+	}
+	return stats.Pruned
+}
+
+// TestPrunedCampaignByteIdentical: in every mode that prunes, the default
+// (pruned) campaign is byte-identical to the unpruned reference — pruning
+// may only skip work whose outcome is already proven, never change one.
+// Each row's spec is chosen so that, at this plan, the row really prunes.
+func TestPrunedCampaignByteIdentical(t *testing.T) {
+	crt := faultSpec(sim.ModeCRT, "gcc", "swim")
+	crt.Budget, crt.Warmup = 3000, 1000
+	adaptive := faultSpec(sim.ModeAdaptive, "gcc")
+	adaptive.Budget, adaptive.Warmup = 3000, 1000
+	adaptive.AdaptiveThreshold = 0.5
+	cases := []struct {
+		name string
+		spec sim.Spec
+	}{
+		{"srt gcc+li", pruneSpec()},
+		{"crt gcc+swim", crt},
+		{"adaptive gcc", adaptive},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if checkPrunedMatchesReference(t, tc.spec, 96, 0xACE) == 0 {
+				t.Fatal("no trials pruned: the row no longer exercises pruning")
+			}
+		})
 	}
 }
 
@@ -73,7 +97,6 @@ func TestStaticMaskingCrossValidation(t *testing.T) {
 			var stats PruneStats
 			_, err := CampaignParallel(spec, 48, 0xC0DE, CampaignOptions{
 				Parallelism:           2,
-				PruneStaticallyMasked: true,
 				ValidateStaticMasking: true,
 				PruneStats:            &stats,
 			})
@@ -164,9 +187,12 @@ func TestStaticMaskedSitesExhaustive(t *testing.T) {
 }
 
 // TestPruneStatsWithoutPruning: PruneStats is still filled (with zero
-// pruned) when pruning is off, so callers can report unconditionally.
+// pruned) for a campaign that cannot prune — SRTR, whose register value
+// queue detects even architecturally masked flips — so callers can report
+// unconditionally.
 func TestPruneStatsWithoutPruning(t *testing.T) {
 	spec := pruneSpec()
+	spec.Mode = sim.ModeSRTR
 	var stats PruneStats
 	if _, err := CampaignParallel(spec, 8, 7, CampaignOptions{Parallelism: 1, PruneStats: &stats}); err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func newSingle(name string, progID int, spec Spec) (*pipeline.Context, error) {
 	}
 	memImg := vm.NewMemory()
 	vm.Load(prog, memImg)
-	arch := vm.NewThreadWith(progID, prog, memImg, spec.VM)
+	arch := vm.NewThread(progID, prog, memImg)
 	ctx := pipeline.NewContext(pipeline.RoleSingle, progID, arch, spec.Warmup+spec.Budget)
 	ctx.Warmup = spec.Warmup
 	return ctx, nil
@@ -186,8 +186,8 @@ func newPair(name string, logical int, spec Spec, lat rmt.Latencies, cfg pipelin
 	}
 	memImg := vm.NewMemory()
 	vm.Load(prog, memImg)
-	leadArch := vm.NewThreadWith(logical*2, prog, memImg, spec.VM)
-	trailArch := vm.NewThreadWith(logical*2+1, prog, memImg, spec.VM)
+	leadArch := vm.NewThread(logical*2, prog, memImg)
+	trailArch := vm.NewThread(logical*2+1, prog, memImg)
 	lead = pipeline.NewContext(pipeline.RoleLeading, logical, leadArch, spec.Warmup+spec.Budget)
 	lead.Warmup = spec.Warmup
 	trail = pipeline.NewContext(pipeline.RoleTrailing, logical, trailArch, 0)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/progen"
-	"repro/internal/vm"
 )
 
 // Mode selects the machine organisation.
@@ -159,12 +158,6 @@ type Spec struct {
 
 	// MaxCycles caps the run (0 = derived from the budget).
 	MaxCycles uint64
-
-	// VM selects the functional engine's interpreter for every hardware
-	// thread context. Dispatch is timing-invariant — outcomes are
-	// byte-identical between variants — so it is deliberately not part of
-	// the rmtd wire contract or its canonical cache keys.
-	VM vm.Config
 }
 
 // Validate reports whether Build can assemble the machine s describes: a

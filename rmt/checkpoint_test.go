@@ -88,28 +88,16 @@ func TestLocalCampaign(t *testing.T) {
 	}
 }
 
-// TestCampaignStaticPruningIdentical: WithStaticPruning is pure execution
-// policy — the facade summary, outcome order included, is unchanged by it.
-// The spec targets gcc+li (the kernels with statically-masked sites) at the
-// seed internal/fault's byte-identity test pins, so pruning has trials to
-// claim.
-func TestCampaignStaticPruningIdentical(t *testing.T) {
-	cs := CampaignSpec{
-		Spec: Spec{Mode: SRT, PSR: true, Programs: []string{"gcc", "li"}},
-		N:    48,
-		Seed: 0xACE,
-	}
-	opts := []Option{WithBudget(3000), WithWarmup(1000)}
-	base, err := Campaign(context.Background(), cs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := Campaign(context.Background(), cs, append(opts, WithStaticPruning())...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, pruned) {
-		t.Fatalf("pruned summary differs:\nbase:   %+v\npruned: %+v", base, pruned)
+// TestCampaignNegativeN: a negative campaign size is an error, not a
+// panic in the engine's fault-plan draw.
+func TestCampaignNegativeN(t *testing.T) {
+	_, err := Campaign(context.Background(), CampaignSpec{
+		Spec: Spec{Mode: SRT, PSR: true, Programs: []string{"compress"}},
+		N:    -1,
+		Seed: 1,
+	}, WithBudget(1000), WithWarmup(500))
+	if err == nil {
+		t.Fatal("Campaign with N=-1 returned no error")
 	}
 }
 

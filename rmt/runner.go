@@ -55,9 +55,11 @@ const (
 // in-process using the fork-on-fault engine: the fault-free run is
 // simulated once, machine state is snapshotted at each planned injection
 // cycle, and each trial restores a snapshot and replays only the divergent
-// suffix. The summary — including per-trial outcome order — is identical
-// at any parallelism and matches what an rmtd daemon serves for the same
-// request. Cancelling ctx aborts the campaign between trials.
+// suffix; trials whose injection site the static ACE analysis proves
+// masked are classified without replay. The summary — including per-trial
+// outcome order — is identical at any parallelism and matches what an rmtd
+// daemon serves for the same request. Cancelling ctx aborts the campaign
+// between trials; a negative cs.N is an error.
 func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSummary, error) {
 	c := newConfig(opts)
 	spec, err := cs.Spec.Canonical()
@@ -72,16 +74,15 @@ func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSu
 		warmup = DefaultCampaignWarmup
 	}
 	fopts := fault.CampaignOptions{
-		Parallelism:           c.parallelism,
-		Progress:              c.progress,
-		Cancel:                ctx.Err,
-		PruneStaticallyMasked: c.staticPruning,
+		Parallelism: c.parallelism,
+		Progress:    c.progress,
+		Cancel:      ctx.Err,
 	}
 	if c.report != nil {
 		report := c.report
 		fopts.OnReport = func(r runner.Report) { report(fromRunnerReport(r)) }
 	}
-	sum, err := fault.CampaignParallel(spec.engine(budget, warmup, c), cs.N, cs.Seed, fopts)
+	sum, err := fault.CampaignParallel(spec.engine(budget, warmup), cs.N, cs.Seed, fopts)
 	if err != nil {
 		return nil, err
 	}
