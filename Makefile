@@ -6,11 +6,13 @@ verify:
 race:
 	go test -race ./...
 
-# Static analysis: go vet plus rmtlint (determinism/layering/shared-state/
-# snapshot/snapshot-completeness analyzers and stale-directive detection
-# over every package of the module — internal/, cmd/ and examples/ alike —
-# then the program verifier over every registered kernel).
+# Static analysis: gofmt (no file may need reformatting), go vet, then
+# rmtlint (determinism/layering/shared-state/snapshot/snapshot-completeness
+# analyzers and stale-directive detection over every package of the
+# module — internal/, cmd/ and examples/ alike — then the program verifier
+# over every registered kernel).
 lint:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go run ./cmd/rmtlint ./...
 
@@ -52,11 +54,14 @@ cover:
 
 # Fuzz battery: bounded runs of every fuzz target. A crasher is persisted
 # under the package's testdata/fuzz/ for replay as a regular test case.
+# FuzzSnapshot's mid-run seed turns up new coverage within seconds, and
+# minimizing one of its ~150 KB inputs takes the default 60 s, which would
+# stall the whole bounded run; a 1 s cap keeps it fuzzing.
 FUZZTIME := 10s
 fuzz:
 	go test ./internal/isa/ -run '^$$' -fuzz FuzzLoadImage -fuzztime $(FUZZTIME)
 	go test ./internal/server/ -run '^$$' -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME)
-	go test ./internal/sim/ -run '^$$' -fuzz FuzzSnapshot -fuzztime $(FUZZTIME)
+	go test ./internal/sim/ -run '^$$' -fuzz FuzzSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME)
 	go test ./internal/progen/ -run '^$$' -fuzz FuzzGenerate -fuzztime $(FUZZTIME)
 	go test ./internal/vmdiff/ -race -run '^$$' -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
@@ -131,10 +136,11 @@ bench-compare:
 # CI-sized performance gate: every benchmark must still run (one iteration
 # at -short sizes — this drives the batched campaign-replay and
 # characterisation paths), a warm simulator must allocate nothing per
-# cycle, and the batched hot loop must stay zero-alloc across pool reuse.
+# cycle, building and running a machine must stay under fixed allocation
+# ceilings, and the batched hot loop must stay zero-alloc across pool reuse.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x -short .
-	go test ./internal/sim/ -run TestSteadyStateAllocs -count=1
+	go test ./internal/sim/ -run 'TestSteadyStateAllocs|TestBuildAllocs|TestBuildRunAllocs' -count=1
 	go test ./internal/vm/ -run 'TestBatchSteadyStateAllocs|TestBatchResetReuse' -count=1
 
 .PHONY: verify race lint crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-compare bench-smoke serve-smoke

@@ -43,6 +43,8 @@ func (m *FlatMemory) Access(addr uint64, now uint64) uint64 {
 	return now + m.Latency
 }
 
+// line is one cache line. Lines are filled but never invalidated, so an
+// invalid line is always the zero line.
 type line struct {
 	tag     uint64
 	valid   bool
@@ -62,11 +64,12 @@ type Cache struct {
 
 	next Level //rmtsnap:skip — hierarchy wiring; the next level snapshots itself
 
-	sets [][]line // sets[set][way], way 0 = MRU
-	// predictedWay implements way prediction: a hit in a non-predicted way
-	// costs one extra cycle and retrains the predictor.
-	predictedWay []int
-	wayPredict   bool //rmtsnap:skip — construction-time config
+	// lines holds every set's ways back to back: way w of set s is
+	// lines[s*ways+w], and way 0 is the set's MRU line.
+	lines []line
+	// wayPredict predicts the MRU way: a hit in any other way costs one
+	// extra cycle (and the predictor retrains to the promoted MRU line).
+	wayPredict bool //rmtsnap:skip — construction-time config
 
 	Hits           stats.Counter
 	Misses         stats.Counter
@@ -109,18 +112,14 @@ func NewCache(cfg Config, next Level) *Cache {
 		blockBits++
 	}
 	c := &Cache{
-		name:         cfg.Name,
-		nsets:        uint64(nsets),
-		blockBits:    blockBits,
-		ways:         cfg.Ways,
-		hitLat:       cfg.HitLatency,
-		next:         next,
-		sets:         make([][]line, nsets),
-		predictedWay: make([]int, nsets),
-		wayPredict:   cfg.WayPredict,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		name:       cfg.Name,
+		nsets:      uint64(nsets),
+		blockBits:  blockBits,
+		ways:       cfg.Ways,
+		hitLat:     cfg.HitLatency,
+		next:       next,
+		lines:      make([]line, nsets*cfg.Ways),
+		wayPredict: cfg.WayPredict,
 	}
 	return c
 }
@@ -136,12 +135,10 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return b % c.nsets, b
 }
 
-// promote moves way w of set s to MRU position.
-func (c *Cache) promote(s uint64, w int) {
-	set := c.sets[s]
-	l := set[w]
-	copy(set[1:w+1], set[:w])
-	set[0] = l
+// set returns the ways of set s, MRU first.
+func (c *Cache) set(s uint64) []line {
+	base := int(s) * c.ways
+	return c.lines[base : base+c.ways]
 }
 
 // Access implements Level: look up addr at cycle now, filling from the next
@@ -155,20 +152,19 @@ func (c *Cache) Access(addr uint64, now uint64) uint64 {
 // way-mispredict bubble (hit, done = now+1) from a real miss it must stall
 // on.
 func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
-	set, tag := c.index(addr)
-	for w, l := range c.sets[set] {
+	s, tag := c.index(addr)
+	set := c.set(s)
+	for w, l := range set {
 		if l.valid && l.tag == tag {
 			c.Hits.Inc()
 			extra := uint64(0)
-			if c.wayPredict && c.predictedWay[set] != w {
+			if c.wayPredict && w != 0 {
 				// Way misprediction: one retry cycle, retrain.
 				c.WayMispredicts.Inc()
 				extra = 1
 			}
-			c.promote(set, w)
-			if c.wayPredict {
-				c.predictedWay[set] = 0 // MRU after promote
-			}
+			copy(set[1:w+1], set[:w]) // promote to MRU
+			set[0] = l
 			done := now + c.hitLat + extra
 			if l.readyAt > done {
 				done = l.readyAt // fill still in flight
@@ -179,20 +175,16 @@ func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
 	// Miss: fill from next level, install as MRU (evict LRU).
 	c.Misses.Inc()
 	fill := c.next.Access(addr, now+c.hitLat) + c.MissExtra
-	set2 := c.sets[set]
-	copy(set2[1:], set2[:len(set2)-1])
-	set2[0] = line{tag: tag, valid: true, readyAt: fill}
-	if c.wayPredict {
-		c.predictedWay[set] = 0
-	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = line{tag: tag, valid: true, readyAt: fill}
 	return fill, false
 }
 
 // Probe reports whether addr currently hits without touching LRU state or
 // counters (used by tests and by fetch-ahead heuristics).
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
+	s, tag := c.index(addr)
+	for _, l := range c.set(s) {
 		if l.valid && l.tag == tag {
 			return true
 		}

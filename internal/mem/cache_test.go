@@ -1,8 +1,12 @@
 package mem
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/snap"
 )
 
 func flat(lat uint64) *FlatMemory { return &FlatMemory{Latency: lat} }
@@ -187,5 +191,91 @@ func TestMergeBufferCapacityAndExpiry(t *testing.T) {
 	}
 	if mb.Occupancy(late) != 0 {
 		t.Errorf("occupancy = %d after expiry", mb.Occupancy(late))
+	}
+}
+
+// TestCacheSnapshotSparse checks that a cache snapshot carries only its
+// filled lines, restores replacement state exactly, and that a restored
+// cache re-encodes to the same bytes.
+func TestCacheSnapshotSparse(t *testing.T) {
+	c := small(flat(10))
+	setStride := uint64(64 * 8)
+	c.Lookup(0, 0)
+	c.Lookup(setStride, 100) // set 0 now holds {setStride, 0}
+	c.Lookup(0x40, 200)
+	w := snap.NewWriter()
+	c.SnapshotTo(w)
+	data := w.Finish()
+	// Header, geometry, line count, three lines of four words, counters.
+	if want := 8 + 8*(2+1+3*4+3); len(data) != want {
+		t.Errorf("snapshot of 3 filled lines is %d bytes, want %d", len(data), want)
+	}
+	d := small(flat(10))
+	d.Lookup(5*setStride, 0) // stale line the restore must clear
+	r, err := snap.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RestoreFrom(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Probe(5 * setStride) {
+		t.Error("restore kept a line the snapshot does not hold")
+	}
+	w2 := snap.NewWriter()
+	d.SnapshotTo(w2)
+	if !bytes.Equal(w2.Finish(), data) {
+		t.Error("restored cache re-encodes differently")
+	}
+	d.Lookup(2*setStride, 300) // evicts the LRU line of set 0, which is 0
+	if _, hit := d.Lookup(setStride, 400); !hit {
+		t.Error("restored MRU line was evicted")
+	}
+	if _, hit := d.Lookup(0, 500); hit {
+		t.Error("restored LRU line survived an eviction")
+	}
+}
+
+// TestCacheRestoreRejectsNonCanonical: line entries out of order, out of
+// range or zero are not what SnapshotTo writes, so restore refuses them.
+func TestCacheRestoreRejectsNonCanonical(t *testing.T) {
+	c := small(flat(10))
+	// entries writes geometry, then the given (index, tag, valid, readyAt)
+	// words, then zero counters.
+	entries := func(lines ...uint64) []byte {
+		w := snap.NewWriter()
+		w.U64(c.nsets)
+		w.Int(c.ways)
+		w.Int(len(lines) / 4)
+		for _, v := range lines {
+			w.U64(v)
+		}
+		w.U64(0)
+		w.U64(0)
+		w.U64(0)
+		return w.Finish()
+	}
+	n := uint64(len(c.lines))
+	cases := map[string][]byte{
+		"descending": entries(3, 1, 1, 0, 2, 1, 1, 0),
+		"repeated":   entries(2, 1, 1, 0, 2, 1, 1, 0),
+		"past end":   entries(n, 1, 1, 0),
+		"zero line":  entries(2, 0, 0, 0),
+	}
+	for name, data := range cases {
+		r, err := snap.NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RestoreFrom(r)
+		if err := r.Done(); !errors.Is(err, snap.ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		}
+	}
+	r, _ := snap.NewReader(entries(2, 1, 1, 0, 3, 1, 1, 0))
+	c.RestoreFrom(r)
+	if err := r.Done(); err != nil {
+		t.Errorf("canonical entries rejected: %v", err)
 	}
 }

@@ -344,8 +344,9 @@ func (c *Context) restoreContext(r *snap.Reader) {
 
 	n := r.Count(8)
 	rc := &restCtx{insts: make([]*dynInst, n), dead: &dynInst{gen: 1}}
+	slab := make([]dynInst, n) // one allocation for the context's whole instruction set
 	for i := range rc.insts {
-		rc.insts[i] = new(dynInst)
+		rc.insts[i] = &slab[i]
 	}
 	for _, d := range rc.insts {
 		rc.readInst(r, d)

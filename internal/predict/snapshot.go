@@ -8,27 +8,20 @@ import (
 // Snapshot support for the prediction structures. Table geometry comes from
 // configuration; only table contents, per-thread histories, and counters
 // travel. 8-bit counter tables are written as byte strings to keep the
-// stream compact (a branch predictor alone is three 32K-entry tables).
+// stream compact (a branch predictor alone is three 32K-entry tables); the
+// last-target tables, where 0 means "no prediction" and most entries stay
+// 0, are written sparse.
 
 // SnapshotTo writes the line predictor's table and counters.
 func (l *LinePredictor) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(l.table)))
-	for _, v := range l.table {
-		w.U64(v)
-	}
+	w.Sparse(l.table)
 	w.U64(l.Lookups.Value())
 	w.U64(l.Wrong.Value())
 }
 
 // RestoreFrom reads state written by SnapshotTo.
 func (l *LinePredictor) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(l.table) {
-		r.Failf("line predictor size mismatch")
-		return
-	}
-	for i := range l.table {
-		l.table[i] = r.U64()
-	}
+	r.Sparse(l.table)
 	l.Lookups = stats.Counter(r.U64())
 	l.Wrong = stats.Counter(r.U64())
 }
@@ -90,23 +83,14 @@ func (ras *RAS) RestoreFrom(r *snap.Reader) {
 
 // SnapshotTo writes the jump predictor's table and counters.
 func (j *JumpPredictor) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(j.table)))
-	for _, v := range j.table {
-		w.U64(v)
-	}
+	w.Sparse(j.table)
 	w.U64(j.Lookups.Value())
 	w.U64(j.Wrong.Value())
 }
 
 // RestoreFrom reads state written by SnapshotTo.
 func (j *JumpPredictor) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(j.table) {
-		r.Failf("jump predictor size mismatch")
-		return
-	}
-	for i := range j.table {
-		j.table[i] = r.U64()
-	}
+	r.Sparse(j.table)
 	j.Lookups = stats.Counter(r.U64())
 	j.Wrong = stats.Counter(r.U64())
 }

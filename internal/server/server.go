@@ -241,7 +241,7 @@ type httpError struct {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -112,3 +112,53 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// allocCeilingSpec is the machine the build and run allocation ceilings
+// measure: SRT on gcc at the campaign engine's 5k warmup / 20k budget.
+func allocCeilingSpec() Spec {
+	return Spec{
+		Mode:     ModeSRT,
+		Programs: []string{"gcc"},
+		Budget:   20_000,
+		Warmup:   5_000,
+		Config:   pipeline.DefaultConfig(),
+		PSR:      true,
+	}
+}
+
+// TestBuildAllocs caps the allocations of building a machine. Cache lines
+// live in one array per cache, so the count must not grow with the set
+// count: one slice per set of the 6,144-set L2 made it 7,443; 271 measured.
+func TestBuildAllocs(t *testing.T) {
+	const ceiling = 1_000
+	spec := allocCeilingSpec()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Build(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("Build(SRT gcc): %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestBuildRunAllocs caps the allocations of building a machine and
+// running it to its budget. Overlay words live in one slab per overlay, so
+// storing to a new word must not allocate: a heap record per word and one
+// slice per cache set made it about 9,900; 814 measured, ceiling ~1.5x.
+func TestBuildRunAllocs(t *testing.T) {
+	const ceiling = 1_200
+	spec := allocCeilingSpec()
+	allocs := testing.AllocsPerRun(3, func() {
+		m, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("Build+Run(SRT gcc, 5k/20k): %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}

@@ -8,8 +8,9 @@ import (
 
 // snapshotVersion frames the sim-level snapshot: the pipeline state plus
 // the machine assembly's own mutable pieces (pseudo-devices and uncached
-// I/O replication bridges).
-const snapshotVersion = 1
+// I/O replication bridges). Version 2 writes caches and the line and jump
+// predictor tables sparse; a version-1 stream is rejected, not misread.
+const snapshotVersion = 2
 
 // Snapshot serializes the machine's complete simulated state. The snapshot
 // pairs with the Spec the machine was built from: Restore rebuilds an
@@ -17,7 +18,9 @@ const snapshotVersion = 1
 // (Metrics, Events, trace hooks) are not captured; a restored machine
 // starts with whatever observers its fresh build has.
 func (m *Machine) Snapshot() ([]byte, error) {
-	w := snap.NewWriterSize(m.snapHint + 512)
+	// Sparse caches make a running machine's snapshot grow as lines fill,
+	// so leave room for growth: outgrowing the buffer copies all of it.
+	w := snap.NewWriterSize(m.snapHint + m.snapHint/8 + 512)
 	w.U64(snapshotVersion)
 	m.Machine.SnapshotTo(w)
 	w.Int(len(m.Devices))

@@ -22,7 +22,7 @@ func snapSpec(mode Mode, progs ...string) Spec {
 // runToCycle builds a machine for spec, snapshots it at the top of
 // iteration k, and runs to completion. It returns the mid-run snapshot and
 // the finished machine.
-func runToCycle(t *testing.T, spec Spec, k uint64) (snapshot []byte, m *Machine) {
+func runToCycle(t testing.TB, spec Spec, k uint64) (snapshot []byte, m *Machine) {
 	t.Helper()
 	m, err := Build(spec)
 	if err != nil {
@@ -193,17 +193,12 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 // FuzzSnapshot feeds arbitrary bytes to RestoreState: it must reject or
 // accept but never crash, and any accepted stream must re-serialize
 // idempotently (restore → snapshot → restore → snapshot is a fixed point).
+// The seed is taken mid-run, so its caches (the L2 included), predictor
+// tables and overlays hold entries for the sparse decoders to chew on.
 func FuzzSnapshot(f *testing.F) {
 	spec := snapSpec(ModeSRT, "compress")
 	spec.Budget, spec.Warmup = 600, 200
-	m, err := Build(spec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	seed, err := m.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed, _ := runToCycle(f, spec, 300)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:9])

@@ -2,10 +2,11 @@
 // the machine-state snapshot layer: a length-checked little-endian
 // writer/reader pair over plain byte slices, standard library only.
 //
-// The encoding is deliberately primitive — fixed-width 64-bit words plus
-// length-prefixed byte strings behind an 8-byte magic header — because the
-// snapshot contract is byte-identity: the same machine state must always
-// encode to the same bytes. There is no reflection, no map iteration, and
+// The encoding is deliberately primitive — fixed-width 64-bit words,
+// length-prefixed byte strings and sparse tables (non-zero entries only)
+// behind an 8-byte magic header — because the snapshot contract is
+// byte-identity: the same machine state must always encode to the same
+// bytes. There is no reflection, no map iteration, and
 // no varint ambiguity; every composite structure above this layer writes
 // its fields in a fixed order and serializes map-backed state in sorted key
 // order.
@@ -76,6 +77,27 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 func (w *Writer) Bytes(b []byte) {
 	w.U64(uint64(len(b)))
 	w.buf = append(w.buf, b...)
+}
+
+// Sparse writes a table that is mostly zero: its length, the count of
+// non-zero entries, then (index, value) for each of them in ascending index
+// order. Reader.Sparse accepts exactly this form and nothing else, so a
+// table always encodes to the same bytes.
+func (w *Writer) Sparse(t []uint64) {
+	n := 0
+	for _, v := range t {
+		if v != 0 {
+			n++
+		}
+	}
+	w.U64(uint64(len(t)))
+	w.U64(uint64(n))
+	for i, v := range t {
+		if v != 0 {
+			w.U64(uint64(i))
+			w.U64(v)
+		}
+	}
 }
 
 // Finish returns the encoded stream. The writer may not be reused after.
@@ -178,6 +200,31 @@ func (r *Reader) Count(minBytes int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// Sparse reads a table written by Writer.Sparse into dst, which it clears
+// first. It rejects any other encoding of the same table: a length other
+// than len(dst), an index out of range or not above the one before it, a
+// zero value, or a count larger than the stream could hold.
+func (r *Reader) Sparse(dst []uint64) {
+	if n := r.U64(); r.err == nil && n != uint64(len(dst)) {
+		r.fail("sparse table of %d entries, want %d", n, len(dst))
+	}
+	n := r.Count(16)
+	clear(dst)
+	next := uint64(0) // lowest index the next entry may use
+	for k := 0; k < n; k++ {
+		i, v := r.U64(), r.U64()
+		if r.err != nil {
+			return
+		}
+		if i < next || i >= uint64(len(dst)) || v == 0 {
+			r.fail("sparse entry %d (index %d, value %d) out of order, out of range or zero", k, i, v)
+			return
+		}
+		dst[i] = v
+		next = i + 1
+	}
 }
 
 // Failf lets a decoder latch a domain error of its own — a geometry

@@ -135,6 +135,7 @@ func (m *Memory) Pages() int { return len(m.pages) }
 // campaigns sweep dozens of lane overlays per round, so the map footprint
 // they drag through the cache shrinks by the same factor.
 type overlayWord struct {
+	addr uint64 // word address (byte address >> 3)
 	val  uint64
 	mask uint32
 	seq  [8]uint64
@@ -157,9 +158,13 @@ var maskSpread = func() (t [256]uint64) { //rmtlint:allow sharedstate — immuta
 // committed Memory. It models the architectural contents of the thread's
 // store queue: loads from the owning thread see overlay bytes first.
 type Overlay struct {
-	mem   *Memory //rmtsnap:skip — wiring to shared memory, which snapshots itself
-	words map[uint64]*overlayWord
-	n     int // pending byte count (sum of the word masks' popcounts)
+	mem *Memory //rmtsnap:skip — wiring to shared memory, which snapshots itself
+	// slab holds every word ever stored, in first-store order; words maps a
+	// word address to its slab index. Both are pointer-free, so a word
+	// costs no allocation of its own and nothing for the GC to trace.
+	slab  []overlayWord
+	words map[uint64]int32 //rmtsnap:skip — index over slab, rebuilt on restore
+	n     int              // pending byte count (sum of the word masks' popcounts)
 
 	// filter is a 64-bit presence summary over hashed word addresses: a
 	// clear bit proves the word was never stored, letting loads from
@@ -172,64 +177,70 @@ type Overlay struct {
 
 	// Direct-mapped word cache (indexed by low word-address bits): kernels
 	// bang on a handful of STQ/LDQ targets, so most accesses hit here and
-	// skip the map probe. Pure cache over words — nothing to snapshot.
-	cacheWA [8]uint64       //rmtsnap:skip — derived cache
-	cacheW  [8]*overlayWord //rmtsnap:skip — derived cache
+	// skip the map probe. Pure cache of slab indices plus one (0 marks an
+	// empty slot) — nothing to snapshot.
+	cacheWA [8]uint64 //rmtsnap:skip — derived cache
+	cacheW  [8]int32  //rmtsnap:skip — derived cache
 }
 
 func filterBit(wa uint64) uint64 { return 1 << ((wa * 0x9E3779B97F4A7C15) >> 58) }
 
 // NewOverlay returns an empty overlay over mem.
 func NewOverlay(mem *Memory) *Overlay {
-	return &Overlay{mem: mem, words: make(map[uint64]*overlayWord)}
+	return &Overlay{mem: mem, words: make(map[uint64]int32)}
 }
 
 // Reset repoints the overlay at mem and clears its pending bytes in place.
-// Released and cleared words stay in the map as empty entries so a recycled
-// overlay re-stores to the same addresses without allocating (Batch pool
-// reuse); the footprint is bounded by the distinct words ever stored.
+// Released and cleared words stay in the slab as empty entries so a
+// recycled overlay re-stores to the same addresses without allocating
+// (Batch pool reuse); the footprint is bounded by the distinct words ever
+// stored.
 func (o *Overlay) Reset(mem *Memory) {
 	o.mem = mem
-	for _, w := range o.words {
-		w.mask = 0
+	for i := range o.slab {
+		o.slab[i].mask = 0
 	}
 	o.n = 0
 	o.filter = 0
 }
 
+// wordFor returns the word at wa, adding an empty one to the slab if it
+// was never stored. The pointer is valid until the next wordFor call.
 func (o *Overlay) wordFor(wa uint64) *overlayWord {
 	slot := wa & 7
-	if w := o.cacheW[slot]; w != nil && o.cacheWA[slot] == wa {
-		return w
+	if j := o.cacheW[slot]; j != 0 && o.cacheWA[slot] == wa {
+		return &o.slab[j-1]
 	}
-	w := o.words[wa]
-	if w == nil {
-		w = new(overlayWord)
-		o.words[wa] = w
+	i, ok := o.words[wa]
+	if !ok {
+		i = int32(len(o.slab))
+		o.slab = append(o.slab, overlayWord{addr: wa})
+		o.words[wa] = i
 	}
-	o.cacheWA[slot], o.cacheW[slot] = wa, w
-	return w
+	o.cacheWA[slot], o.cacheW[slot] = wa, i+1
+	return &o.slab[i]
 }
 
 // cachedWord is the read-side probe: cache hit, else map lookup (filling
 // the cache on hit), else nil.
 func (o *Overlay) cachedWord(wa uint64) *overlayWord {
 	slot := wa & 7
-	if w := o.cacheW[slot]; w != nil && o.cacheWA[slot] == wa {
-		return w
+	if j := o.cacheW[slot]; j != 0 && o.cacheWA[slot] == wa {
+		return &o.slab[j-1]
 	}
-	w := o.words[wa]
-	if w != nil {
-		o.cacheWA[slot], o.cacheW[slot] = wa, w
+	i, ok := o.words[wa]
+	if !ok {
+		return nil
 	}
-	return w
+	o.cacheWA[slot], o.cacheW[slot] = wa, i+1
+	return &o.slab[i]
 }
 
 // Byte returns the thread-visible byte at addr.
 func (o *Overlay) Byte(addr uint64) byte {
 	if o.filter&filterBit(addr>>3) != 0 {
-		if w := o.words[addr>>3]; w != nil && w.mask&(1<<(addr&7)) != 0 {
-			return byte(w.val >> ((addr & 7) * 8))
+		if i, ok := o.words[addr>>3]; ok && o.slab[i].mask&(1<<(addr&7)) != 0 {
+			return byte(o.slab[i].val >> ((addr & 7) * 8))
 		}
 	}
 	return o.mem.Byte(addr)
@@ -291,7 +302,6 @@ func (o *Overlay) Store(addr uint64, val uint64, size int, seq uint64) {
 	}
 }
 
-
 // Release commits the store identified by (addr, val, size, seq) to the
 // shared memory and drops overlay bytes that still belong to it. If commit
 // is false the bytes are dropped without being written (used for the
@@ -302,7 +312,8 @@ func (o *Overlay) Release(addr uint64, val uint64, size int, seq uint64, commit 
 		if commit {
 			o.mem.SetByte(a, byte(val>>(8*i)))
 		}
-		if w := o.words[a>>3]; w != nil {
+		if j, ok := o.words[a>>3]; ok {
+			w := &o.slab[j]
 			bit := uint32(1) << (a & 7)
 			if w.mask&bit != 0 && w.seq[a&7] == seq {
 				w.mask &^= bit

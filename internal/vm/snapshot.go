@@ -1,7 +1,8 @@
 package vm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/snap"
 )
@@ -21,7 +22,7 @@ func (m *Memory) SnapshotTo(w *snap.Writer) {
 	for pn := range m.pages {
 		nums = append(nums, pn)
 	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	slices.Sort(nums)
 	w.U64(uint64(len(nums)))
 	for _, pn := range nums {
 		w.U64(pn)
@@ -29,18 +30,24 @@ func (m *Memory) SnapshotTo(w *snap.Writer) {
 	}
 }
 
-// RestoreFrom replaces the memory image with the snapshot's pages.
+// RestoreFrom replaces the memory image with the snapshot's pages. A page
+// already resident is overwritten in place rather than reallocated;
+// resident pages the snapshot lacks are dropped.
 func (m *Memory) RestoreFrom(r *snap.Reader) {
 	n := r.Count(16)
+	old := m.pages
 	m.pages = make(map[uint64]*page, n)
-	m.cacheP = [16]*page{} // cached pointers target the replaced map's entries
+	m.cacheP = [16]*page{} // cached pointers may target dropped pages
 	for i := 0; i < n; i++ {
 		pn := r.U64()
 		b := r.Bytes()
 		if len(b) != pageSize {
 			continue // sticky reader error already latched on truncation
 		}
-		p := new(page)
+		p := old[pn]
+		if p == nil {
+			p = new(page)
+		}
 		copy(p[:], b)
 		m.pages[pn] = p
 	}
@@ -50,20 +57,18 @@ func (m *Memory) RestoreFrom(r *snap.Reader) {
 // order. The backing Memory is shared between threads and serialized once
 // by the machine layer, not here.
 func (o *Overlay) SnapshotTo(w *snap.Writer) {
-	was := make([]uint64, 0, len(o.words))
-	for wa := range o.words {
-		was = append(was, wa)
-	}
-	sort.Slice(was, func(i, j int) bool { return was[i] < was[j] })
-	w.U64(uint64(o.n))
-	for _, wa := range was {
-		ow := o.words[wa]
-		if ow.mask == 0 {
-			continue // tombstone kept for pool reuse, nothing pending
+	var pending []*overlayWord
+	for i := range o.slab {
+		if o.slab[i].mask != 0 { // empty words are kept for pool reuse
+			pending = append(pending, &o.slab[i])
 		}
+	}
+	slices.SortFunc(pending, func(a, b *overlayWord) int { return cmp.Compare(a.addr, b.addr) })
+	w.U64(uint64(o.n))
+	for _, ow := range pending {
 		for i := uint64(0); i < 8; i++ {
 			if ow.mask&(1<<i) != 0 {
-				w.U64(wa<<3 | i)
+				w.U64(ow.addr<<3 | i)
 				w.U64(uint64(byte(ow.val >> (8 * i))))
 				w.U64(ow.seq[i])
 			}
@@ -71,14 +76,15 @@ func (o *Overlay) SnapshotTo(w *snap.Writer) {
 	}
 }
 
-// RestoreFrom replaces the pending byte set, leaving the backing Memory
-// link untouched.
+// RestoreFrom replaces the pending byte set, reusing the slab and index
+// map, and leaves the backing Memory link untouched.
 func (o *Overlay) RestoreFrom(r *snap.Reader) {
 	n := r.Count(24)
-	o.words = make(map[uint64]*overlayWord, (n+7)/8)
+	clear(o.words)
+	o.slab = o.slab[:0]
 	o.n = 0
 	o.filter = 0
-	o.cacheW = [8]*overlayWord{} // cached pointers target the replaced map's entries
+	o.cacheW = [8]int32{} // cached indices target the discarded slab entries
 	for i := 0; i < n; i++ {
 		a := r.U64()
 		val := byte(r.U64())
